@@ -38,7 +38,7 @@ from .model import (
     station,
 )
 from .oracles import LimitCurve, gamma_limit, limit_curve, quantum_E, raw_sign_E, smax_quantum
-from .pipeline import ThetaEngine, correlation_at
+from .pipeline import ThetaEngine
 from .rng import TrialStream, uniform_block
 from .scenarios import (
     DEFAULT_SEED,

@@ -14,12 +14,11 @@ from pathlib import Path
 
 from . import __version__
 from .analyze import analyze_external, report_rows
-from .coincidence import singles_means
+from .coincidence import estimate_block, singles_means
 from .errors import EprbError, UsageError
 from .inequalities import SearchSpec, maximize_S, min_gamma
 from .model import Setting, SimParams, run_pairs
 from .oracles import gamma_limit, quantum_E, raw_sign_E
-from .pipeline import ThetaEngine
 from .scenarios import (
     DEFAULT_SEED,
     SCENARIO_IDS,
@@ -139,10 +138,9 @@ def _emit(pairs):
 def _cmd_simulate(args) -> int:
     params = _params_from(args)
     theta = _resolve(args, "theta")
-    engine = ThetaEngine(params)
-    est = engine.estimate_at(theta)
     block = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), params,
                       keep_hidden=bool(args.debug_hidden))
+    est = estimate_block(block, params.w_bins)
     m1, m2 = singles_means(block)
     _emit([
         ("theta", theta), ("e", est.e), ("stderr_e", est.stderr_e),

@@ -83,10 +83,31 @@ class CorrelationEstimate:
     n_coinc: int
 
 
-def _cells_from_arrays(x1, k1, x2, k2, w_bins: int) -> np.ndarray:
-    mask = np.abs(k1 - k2) < w_bins
-    cell = ((x1 < 0).astype(np.int64) << 1) | (x2 < 0).astype(np.int64)
-    return np.bincount(cell[mask], minlength=4)
+def block_edges(n: int, n_blocks: int) -> np.ndarray:
+    """Edges of the ``min(n_blocks, n)`` contiguous jackknife blocks of ``n`` trials."""
+    return np.linspace(0, n, min(n_blocks, n) + 1).astype(np.int64)
+
+
+def block_codes(x1: np.ndarray, edges: np.ndarray, first: int = 0) -> np.ndarray:
+    """Base codes ``4 * block + 2 * [x1 < 0]`` of trials ``first, ...`` (add ``x2 < 0``)."""
+    spans = np.diff(np.clip(edges, first, first + len(x1)))
+    codes = np.repeat(np.arange(0, 4 * len(spans), 4, dtype=np.int64), spans)
+    codes += 2 * (x1 < 0)
+    return codes
+
+
+def block_cells(codes, dk, w_bins: int, n_blocks: int) -> np.ndarray:
+    """``(n_blocks, 4)`` cell counts of the trials with ``dk = |k1 - k2| < w_bins``."""
+    return np.bincount(codes[dk < w_bins], minlength=4 * n_blocks).reshape(n_blocks, 4)
+
+
+def counts_per_block(cells, edges, settings=None) -> list[CoincidenceCounts]:
+    """One :class:`CoincidenceCounts` per row of a ``(block, cell)`` table."""
+    return [
+        CoincidenceCounts(int(c[0]), int(c[1]), int(c[2]), int(c[3]),
+                          n_total=int(sz), settings=settings)
+        for c, sz in zip(cells, np.diff(edges))
+    ]
 
 
 def tally(trials, w_bins: int) -> CoincidenceCounts:
@@ -99,11 +120,7 @@ def tally(trials, w_bins: int) -> CoincidenceCounts:
     if w_bins < 1:
         raise ValueError("w_bins must be >= 1")
     if isinstance(trials, TrialBlock):
-        cells = _cells_from_arrays(trials.x1, trials.k1, trials.x2, trials.k2, w_bins)
-        return CoincidenceCounts(
-            int(cells[0]), int(cells[1]), int(cells[2]), int(cells[3]),
-            n_total=len(trials), settings=(trials.a1, trials.a2),
-        )
+        return tally_blocks(trials, w_bins, n_blocks=1)[0]
     counts = [0, 0, 0, 0]
     n_total = 0
     for rec in trials:
@@ -121,20 +138,10 @@ def tally_blocks(trials: TrialBlock, w_bins: int,
     """Per-block tallies over ``n_blocks`` contiguous index slices."""
     if w_bins < 1:
         raise ValueError("w_bins must be >= 1")
-    n = len(trials)
-    n_blocks = min(n_blocks, n)
-    mask = np.abs(trials.k1 - trials.k2) < w_bins
-    cell = ((trials.x1 < 0).astype(np.int64) << 1) | (trials.x2 < 0).astype(np.int64)
-    edges = np.linspace(0, n, n_blocks + 1).astype(np.int64)
-    block_of = np.searchsorted(edges, np.arange(n), side="right") - 1
-    combined = block_of[mask] * 4 + cell[mask]
-    cells = np.bincount(combined, minlength=4 * n_blocks).reshape(n_blocks, 4)
-    sizes = np.diff(edges)
-    return [
-        CoincidenceCounts(int(c[0]), int(c[1]), int(c[2]), int(c[3]),
-                          n_total=int(sz), settings=(trials.a1, trials.a2))
-        for c, sz in zip(cells, sizes)
-    ]
+    edges = block_edges(len(trials), n_blocks)
+    codes = block_codes(trials.x1, edges) + (trials.x2 < 0)
+    cells = block_cells(codes, np.abs(trials.k1 - trials.k2), w_bins, len(edges) - 1)
+    return counts_per_block(cells, edges, settings=(trials.a1, trials.a2))
 
 
 def merge_counts(blocks: Iterable[CoincidenceCounts]) -> CoincidenceCounts:

@@ -155,15 +155,20 @@ def sample_hidden(stream: TrialStream) -> HiddenPair:
 def _station_kernel(ax, ay, az, sx, sy, sz, lam, t0_ratio, d):
     """Vectorized station law; every input local to the station.
 
-    Returns ``(x, k)`` as int8 / int64 arrays.
+    Returns ``(x, k)`` as int8 / int64 arrays.  The delay law runs in place
+    on the one float buffer that first holds ``c = s . a``.
     """
     c = sx * ax + sy * ay + sz * az
-    x = np.where(c >= 0.0, 1, -1).astype(np.int8)
-    q = np.maximum(0.0, 1.0 - c * c)
-    reach = t0_ratio * np.power(q, d / 2.0)  # max delay, units of tau
-    m = np.maximum(1, np.ceil(reach)).astype(np.int64)
-    k = np.floor(lam * m).astype(np.int64)
-    return x, k
+    x = (c >= 0.0).view(np.int8) * 2 - 1
+    c *= c
+    np.subtract(1.0, c, out=c)
+    np.maximum(c, 0.0, out=c)
+    np.power(c, d / 2.0, out=c)
+    c *= t0_ratio  # max delay, units of tau
+    np.ceil(c, out=c)
+    np.maximum(c, 1.0, out=c)  # m: whole resolution bins spanned
+    c *= lam
+    return x, np.floor(c, out=c).astype(np.int64)
 
 
 def station(a: Setting, s_local, lam: float, params: SimParams) -> StationEvent:

@@ -19,6 +19,10 @@ from .coincidence import (
     CorrelationEstimate,
     JACKKNIFE_BLOCKS,
     CoincidenceCounts,
+    block_cells,
+    block_codes,
+    block_edges,
+    counts_per_block,
     estimate,
     merge_counts,
 )
@@ -28,7 +32,15 @@ _CHUNK = 1 << 22  # trials per chunk when the ensemble is too big to cache
 
 
 class ThetaEngine:
-    """Evaluates correlation estimates over relative angles at a shared seed."""
+    """Evaluates correlation estimates over relative angles at a shared seed.
+
+    An ensemble of at most ``cache_limit`` trials is built once and keeps
+    what every tally reads: station 2's ``-s`` and ``lambda2`` (32 bytes a
+    trial), station 1's ``k1`` (8) and ``x1`` (1), and for each jackknife
+    layout in use the base cell codes ``4 * block + 2 * [x1 < 0]`` (8): 57
+    bytes a trial once ``estimate_at`` and ``gamma_at`` have run.  A larger
+    ensemble is regenerated chunk by chunk on every call.
+    """
 
     def __init__(self, params: SimParams, cache_limit: int = 8 * 10**6,
                  first_trial: int = 0):
@@ -36,40 +48,31 @@ class ThetaEngine:
             raise ValueError("first_trial must be >= 0")
         self.params = params
         self.first_trial = first_trial
-        self._cached = params.n_trials <= cache_limit
-        if self._cached:
-            self._hidden = _hidden_arrays(params.seed, first_trial,
-                                          first_trial + params.n_trials)
-            self._ev1 = _station_kernel(
-                0.0, 0.0, 1.0,
-                self._hidden[0], self._hidden[1], self._hidden[2],
-                self._hidden[3], params.t0_ratio, params.d,
-            )
+        self._cache = (self._ensemble(0, params.n_trials)
+                       if params.n_trials <= cache_limit else None)
+        self._codes: dict[int, np.ndarray] = {}
 
-    def _chunks(self):
-        n = self.params.n_trials
-        if self._cached:
-            yield 0, n, self._hidden, self._ev1
+    def _ensemble(self, lo: int, hi: int):
+        """Station-2 inputs and station-1 events of trials ``lo..hi-1``."""
+        p, first = self.params, self.first_trial
+        sx, sy, sz, lam1, lam2 = _hidden_arrays(p.seed, first + lo, first + hi)
+        x1, k1 = _station_kernel(0.0, 0.0, 1.0, sx, sy, sz, lam1, p.t0_ratio, p.d)
+        for v in (sx, sy, sz):  # station 2 receives -s
+            np.negative(v, out=v)
+        return (sx, sy, sz, lam2.copy()), x1, k1
+
+    def _chunks(self, edges: np.ndarray):
+        """``(station-2 inputs, k1, base cell codes)`` chunk by chunk."""
+        if self._cache is not None:
+            s2, x1, k1 = self._cache
+            if len(edges) not in self._codes:  # one layout per block count
+                self._codes[len(edges)] = block_codes(x1, edges)
+            yield s2, k1, self._codes[len(edges)]
             return
+        n = self.params.n_trials
         for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            hidden = _hidden_arrays(self.params.seed, self.first_trial + lo,
-                                    self.first_trial + hi)
-            ev1 = _station_kernel(0.0, 0.0, 1.0, hidden[0], hidden[1], hidden[2],
-                                  hidden[3], self.params.t0_ratio, self.params.d)
-            yield lo, hi, hidden, ev1
-
-    def events_at(self, theta: float):
-        """Full event arrays ``(x1, k1, x2, k2)`` for one relative angle."""
-        if not self._cached:
-            raise ValueError("events_at requires a cached ensemble")
-        a2 = Setting.from_polar(theta)
-        sx, sy, sz, _, lam2 = self._hidden
-        x2, k2 = _station_kernel(float(a2.vec[0]), float(a2.vec[1]), float(a2.vec[2]),
-                                 -sx, -sy, -sz, lam2,
-                                 self.params.t0_ratio, self.params.d)
-        x1, k1 = self._ev1
-        return x1, k1, x2, k2
+            s2, x1, k1 = self._ensemble(lo, min(lo + _CHUNK, n))
+            yield s2, k1, block_codes(x1, edges, first=lo)
 
     def block_counts_at(self, theta: float, w_bins=None,
                         n_blocks: int = JACKKNIFE_BLOCKS) -> list[CoincidenceCounts]:
@@ -77,42 +80,28 @@ class ThetaEngine:
 
         ``w_bins`` may be an int, a sequence of ints, or None (the params
         window).  Returns a list of per-block counts for a single window, or
-        a dict keyed by window for a sequence.
+        a dict keyed by window, in first-seen order, for a sequence.
         """
         windows = self.params.w_bins if w_bins is None else w_bins
         single = np.isscalar(windows)
-        window_list = [int(windows)] if single else [int(w) for w in windows]
+        window_list = [int(windows)] if single else list(dict.fromkeys(int(w) for w in windows))
         if any(w < 1 for w in window_list):
             raise ValueError("w_bins must be >= 1")
 
         a2 = Setting.from_polar(theta)
-        n = self.params.n_trials
-        n_blocks = min(n_blocks, n)
-        edges = np.linspace(0, n, n_blocks + 1).astype(np.int64)
+        edges = block_edges(self.params.n_trials, n_blocks)
+        n_blocks = len(edges) - 1
         cells = {w: np.zeros((n_blocks, 4), dtype=np.int64) for w in window_list}
-        for lo, hi, hidden, ev1 in self._chunks():
-            sx, sy, sz, _, lam2 = hidden
-            x2, k2 = _station_kernel(float(a2.vec[0]), float(a2.vec[1]), float(a2.vec[2]),
-                                     -sx, -sy, -sz, lam2,
+        for (sx, sy, sz, lam2), k1, base in self._chunks(edges):
+            x2, dk = _station_kernel(*a2.vec, sx, sy, sz, lam2,
                                      self.params.t0_ratio, self.params.d)
-            x1, k1 = ev1
-            dk = np.abs(k1 - k2)
-            cell = ((x1 < 0).astype(np.int64) << 1) | (x2 < 0).astype(np.int64)
-            block_of = np.searchsorted(edges, np.arange(lo, hi), side="right") - 1
+            np.subtract(k1, dk, out=dk)
+            np.abs(dk, out=dk)
+            codes = base + (x2 < 0)
             for w in window_list:
-                mask = dk < w
-                combined = block_of[mask] * 4 + cell[mask]
-                cells[w] += np.bincount(combined, minlength=4 * n_blocks).reshape(n_blocks, 4)
-        sizes = np.diff(edges)
+                cells[w] += block_cells(codes, dk, w, n_blocks)
         settings = (Setting.from_polar(0.0), a2)
-        by_window = {
-            w: [
-                CoincidenceCounts(int(c[0]), int(c[1]), int(c[2]), int(c[3]),
-                                  n_total=int(sz), settings=settings)
-                for c, sz in zip(cells[w], sizes)
-            ]
-            for w in window_list
-        }
+        by_window = {w: counts_per_block(cells[w], edges, settings) for w in window_list}
         return by_window[window_list[0]] if single else by_window
 
     def estimate_at(self, theta: float, w_bins: int | None = None,
@@ -124,9 +113,3 @@ class ThetaEngine:
     def gamma_at(self, theta: float, w_bins: int | None = None) -> float:
         """Coincidence frequency at one angle (cheaper than a full estimate)."""
         return self.estimate_at(theta, w_bins, n_blocks=1).gamma
-
-
-def correlation_at(params: SimParams, theta: float,
-                   n_blocks: int = JACKKNIFE_BLOCKS) -> CorrelationEstimate:
-    """One-shot estimate for a single relative angle."""
-    return ThetaEngine(params).estimate_at(theta, n_blocks=n_blocks)

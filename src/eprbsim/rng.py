@@ -21,24 +21,25 @@ _STREAM_SALT = np.uint64(0x632BE59BD9B4E019)
 _INV_2_53 = 1.0 / float(1 << 53)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer applied elementwise to a uint64 array."""
-    z = np.array(z, dtype=np.uint64, copy=True)
+def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer applied in place to uint64 ``z``; ``tmp`` takes the shifts."""
+    tmp = np.empty_like(z) if tmp is None else tmp
     with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
+        z ^= np.right_shift(z, np.uint64(30), out=tmp)
         z *= _MIX_A
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=tmp)
         z *= _MIX_B
-        z ^= z >> np.uint64(31)
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
 def _stream_state(seed: int, trial_index: np.ndarray) -> np.ndarray:
     """Initial substream state for each trial index (uint64 array in, out)."""
-    base = _mix64(np.asarray(np.uint64(seed)))
+    base = _mix64(np.array(seed, dtype=np.uint64))
     with np.errstate(over="ignore"):
-        salted = np.asarray(trial_index, dtype=np.uint64) + _STREAM_SALT
-    return _mix64(salted) ^ base
+        state = _mix64(np.asarray(trial_index, dtype=np.uint64) + _STREAM_SALT)
+    state ^= base
+    return state
 
 
 def raw_uint64(seed: int, trial_index, draw_index) -> np.ndarray:
@@ -58,10 +59,15 @@ def uniform_block(seed: int, first_trial: int, last_trial: int, n_draws: int) ->
     """
     if last_trial < first_trial:
         raise ValueError("empty trial range")
-    trials = np.arange(first_trial, last_trial, dtype=np.uint64)
-    draws = np.arange(n_draws, dtype=np.uint64)
-    u = raw_uint64(seed, trials[None, :], draws[:, None])
-    return (u >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    s0 = _stream_state(seed, np.arange(first_trial, last_trial, dtype=np.uint64))
+    out = np.empty((n_draws, len(s0)), dtype=np.float64)
+    word, tmp = np.empty_like(s0), np.empty_like(s0)
+    for j in range(n_draws):
+        with np.errstate(over="ignore"):  # the draw's state step wraps mod 2**64
+            np.add(s0, np.uint64(j + 1) * _GOLDEN, out=word)
+        _mix64(word, tmp)  # mixed in place, then its top 53 bits scaled into row j
+        np.multiply(np.right_shift(word, np.uint64(11), out=word), _INV_2_53, out=out[j])
+    return out
 
 
 class TrialStream:

@@ -1,0 +1,108 @@
+"""Pinned bytes: the counter RNG, the station law, the engine and the
+scenario tables must reproduce these exact outputs.
+
+Speed work on the simulate-and-tally path must leave every table
+byte-identical, so these digests were recorded once and are compared here
+rather than between two runs of the same code.  The engine property test
+checks the cached and chunked engines against the per-block reference tally
+of ``run_pairs``.
+"""
+
+import hashlib
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eprbsim import (
+    Setting,
+    SimParams,
+    ThetaEngine,
+    TrialStream,
+    run_pairs,
+    run_scenario,
+    tally_blocks,
+    uniform_block,
+)
+from eprbsim import pipeline
+from eprbsim.ttag_io import read_manifest
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(str(a.dtype).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    def test_uniform_block(self):
+        u = uniform_block(5, 1000, 21000, 4)
+        assert u.shape == (4, 20000) and u.dtype == np.float64
+        assert hashlib.sha256(u.tobytes()).hexdigest() == (
+            "f3bf4ec72b0fda12f05432c144fe15d5db7f7969d7c9eb12857ee19f0cb7ac5c")
+
+    def test_trial_stream(self):
+        s = TrialStream(5, 1234)
+        u = np.concatenate([s.uniforms(3), s.uniforms(5)])
+        assert _sha(u) == (
+            "a2e447eab43881b8d3b756656be5c5b921423785e02742b4ce75da842581dd88")
+
+    def test_run_pairs_non_planar(self):
+        p = SimParams(w_bins=3, t0_ratio=37.5, d=2.2, n_trials=5000, seed=9)
+        blk = run_pairs(Setting.from_polar(0.3), Setting(np.array([0.4, -0.7, 0.2])), p)
+        assert [a.dtype for a in (blk.x1, blk.k1, blk.x2, blk.k2)] == [
+            np.int8, np.int64, np.int8, np.int64]
+        assert _sha(blk.x1, blk.k1, blk.x2, blk.k2) == (
+            "1be82fabab7894e31d0ec1dd804a2e1e86b5e2ae16422a4674faed5d3bed89eb")
+
+    @pytest.mark.parametrize("name, table, digest", [
+        ("fig1", "gamma_w1.csv",
+         "8703b7ec985b539eaceae8d4b85990875968503d51330589025bcd89b488cdbe"),
+        ("fig2", "e_w285.csv",
+         "6231b24c8f1931b1900731b0583abe05f4c89c0254875c352bf965a6eaecf7dc"),
+        ("oracle-check", "oracle_check.csv",
+         "37405a56d01320a1dc473441fc09997420fc5774ca1667bb26f58f2af5307e93"),
+        ("weihs-compare", "analysis_cells.csv",
+         "b11b577e4d27eebda725f64e87390e2269570ab9378683da1b632880f77800be"),
+    ])
+    def test_scenario_table_digest(self, tmp_path, name, table, digest):
+        run = run_scenario(name, tmp_path, {"n_trials": 20000, "seed": 5})
+        assert read_manifest(run.manifest_path).output_digests[table] == digest
+
+
+class TestEngineMatchesReferenceTally:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        theta=st.floats(0.0, math.pi),
+        windows=st.lists(st.integers(1, 45), min_size=1, max_size=4),
+        n_blocks=st.sampled_from([1, 7, 100]),
+        d=st.sampled_from([0.0, 2.2, 3.0, 5.0]),
+        t0_ratio=st.sampled_from([0.6, 37.5]),
+        seed=st.integers(0, 2**64 - 1),
+        chunk=st.integers(37, 600),
+    )
+    def test_cached_and_chunked(self, theta, windows, n_blocks, d, t0_ratio, seed, chunk):
+        p = SimParams(w_bins=1, t0_ratio=t0_ratio, d=d, n_trials=1500, seed=seed)
+        blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
+        expected = {w: tally_blocks(blk, w, n_blocks) for w in windows}
+        cached = ThetaEngine(p).block_counts_at(theta, windows, n_blocks)
+        # a chunk size that is no multiple of the block size puts chunk
+        # boundaries inside jackknife blocks
+        with mock.patch.object(pipeline, "_CHUNK", chunk):
+            chunked = ThetaEngine(p, cache_limit=0).block_counts_at(theta, windows, n_blocks)
+        assert cached == expected
+        assert chunked == expected
+
+    def test_repeated_window_counted_once(self):
+        p = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=10**5, seed=3)
+        engine = ThetaEngine(p)
+        single = engine.block_counts_at(1.0, 16)
+        assert engine.block_counts_at(1.0, [16, 16]) == {16: single}
+        wide = engine.block_counts_at(1.0, [285, 16, 285])
+        assert list(wide) == [285, 16]
+        assert wide[285] == engine.block_counts_at(1.0, 285)
