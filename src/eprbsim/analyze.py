@@ -10,7 +10,6 @@ fraction summed over all pairs (what a pooled experiment-wide rate gives).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -10,17 +10,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .analyze import analyze_external, report_rows
 from .coincidence import estimate_block, singles_means
 from .errors import EprbError, UsageError
-from .inequalities import SearchSpec, maximize_S, min_gamma
+from .inequalities import SearchSpec, maximize_S
 from .model import Setting, SimParams, run_pairs
 from .oracles import gamma_limit, quantum_E, raw_sign_E
 from .scenarios import (
-    DEFAULT_SEED,
+    DEFAULT_PARAMS,
     SCENARIO_IDS,
     fit_window,
     run_scenario,
@@ -35,11 +36,11 @@ from .ttag_io import (
 )
 
 _DEFAULTS = {
-    "d": 3.0,
-    "t0_ratio": 1000.0,
-    "w_bins": 1,
-    "n": 10**6,
-    "seed": DEFAULT_SEED,
+    "d": DEFAULT_PARAMS.d,
+    "t0_ratio": DEFAULT_PARAMS.t0_ratio,
+    "w_bins": DEFAULT_PARAMS.w_bins,
+    "n": DEFAULT_PARAMS.n_trials,
+    "seed": DEFAULT_PARAMS.seed,
     "theta": math.pi / 2,
     "theta_grid": f"0:{math.pi:.17g}:37",
     "tolerance": 0.01,
@@ -262,17 +263,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    overrides = {}
-    for key, field in (("d", "d"), ("t0_ratio", "t0_ratio"),
-                       ("w_bins", "w_bins"), ("n", "n_trials"), ("seed", "seed")):
-        value = getattr(args, key, None)
-        if value is None:
-            config = getattr(args, "_config_values", {})
-            if key in config:
-                value = _CASTS[key](config[key])
-        if value is not None:
-            overrides[field] = value
-    run = run_scenario(args.name, args.out, overrides)
+    run = run_scenario(args.name, args.out, asdict(_params_from(args)))
     print(f"scenario {run.name}: {len(run.files)} tables in {run.out_dir} "
           f"({run.elapsed_s:.1f}s)")
     for name in run.files:

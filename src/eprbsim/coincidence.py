@@ -8,12 +8,12 @@ coincidence frequency ``gamma`` is normalized by all trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import TrialBlock, TrialRecord
+from .model import TrialBlock
 
 #: Default number of blocks for the delete-one jackknife.
 JACKKNIFE_BLOCKS = 100
@@ -31,8 +31,7 @@ class CoincidenceCounts:
     """Outcome-pair tallies over the coincident subset of a trial sequence.
 
     ``n_pp`` counts coincident trials with ``(x1, x2) = (+1, +1)`` and so on;
-    ``n_total`` counts all trials, coincident or not.  ``settings`` is
-    carried as metadata and does not participate in comparisons.
+    ``n_total`` counts all trials, coincident or not.
     """
 
     n_pp: int
@@ -40,7 +39,6 @@ class CoincidenceCounts:
     n_mp: int
     n_mm: int
     n_total: int
-    settings: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if min(self.n_pp, self.n_pm, self.n_mp, self.n_mm) < 0:
@@ -60,7 +58,6 @@ class CoincidenceCounts:
             self.n_mp + other.n_mp,
             self.n_mm + other.n_mm,
             self.n_total + other.n_total,
-            settings=self.settings if self.settings is not None else other.settings,
         )
 
 
@@ -101,11 +98,10 @@ def block_cells(codes, dk, w_bins: int, n_blocks: int) -> np.ndarray:
     return np.bincount(codes[dk < w_bins], minlength=4 * n_blocks).reshape(n_blocks, 4)
 
 
-def counts_per_block(cells, edges, settings=None) -> list[CoincidenceCounts]:
+def counts_per_block(cells, edges) -> list[CoincidenceCounts]:
     """One :class:`CoincidenceCounts` per row of a ``(block, cell)`` table."""
     return [
-        CoincidenceCounts(int(c[0]), int(c[1]), int(c[2]), int(c[3]),
-                          n_total=int(sz), settings=settings)
+        CoincidenceCounts(int(c[0]), int(c[1]), int(c[2]), int(c[3]), n_total=int(sz))
         for c, sz in zip(cells, np.diff(edges))
     ]
 
@@ -141,7 +137,7 @@ def tally_blocks(trials: TrialBlock, w_bins: int,
     edges = block_edges(len(trials), n_blocks)
     codes = block_codes(trials.x1, edges) + (trials.x2 < 0)
     cells = block_cells(codes, np.abs(trials.k1 - trials.k2), w_bins, len(edges) - 1)
-    return counts_per_block(cells, edges, settings=(trials.a1, trials.a2))
+    return counts_per_block(cells, edges)
 
 
 def merge_counts(blocks: Iterable[CoincidenceCounts]) -> CoincidenceCounts:
@@ -229,10 +225,12 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
     with the nearest unmatched event of the other stream whenever the tag
     difference is inside the window; every event is used at most once.  When
     the immediate candidate's successor is strictly closer, the candidate is
-    skipped in its favour.  Entries are keyed by ``(setting_a, setting_b)``;
-    each cell's ``n_total`` is the maximum number of pairs that cell could
-    have produced, ``min(count_a, count_b)`` of events carrying those
-    settings.
+    skipped in its favour.  Entries are keyed by ``(setting_a, setting_b)``,
+    one for every pair of settings present, in sorted order; the pairs are
+    tallied in the cell layout of :func:`block_codes`, with the setting pair
+    in place of the block.  Each cell's ``n_total`` is the maximum number of
+    pairs that cell could have produced, ``min(count_a, count_b)`` of events
+    carrying those settings.
 
     ``stream_a`` and ``stream_b`` expose arrays ``k``, ``setting_index`` and
     ``x`` sorted by ``k`` (see :class:`eprbsim.ttag_io.EventStream`).
@@ -274,23 +272,16 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
         i += 1
         j += 1
 
-    sa = stream_a.setting_index
-    sb = stream_b.setting_index
-    xa = stream_a.x
-    xb = stream_b.x
-    counts_a = np.bincount(sa)
-    counts_b = np.bincount(sb)
-    out: dict[tuple[int, int], CoincidenceCounts] = {}
-    raw: dict[tuple[int, int], list[int]] = {}
-    for ia, ib in zip(pairs_a, pairs_b):
-        key = (int(sa[ia]), int(sb[ib]))
-        cell = raw.setdefault(key, [0, 0, 0, 0])
-        cell[(2 if xa[ia] < 0 else 0) + (1 if xb[ib] < 0 else 0)] += 1
-    keys = {(int(a), int(b)) for a in np.unique(sa) for b in np.unique(sb)}
-    for key in sorted(keys | set(raw)):
-        cell = raw.get(key, [0, 0, 0, 0])
-        ia, ib = key
-        n_opp = int(min(counts_a[ia] if ia < len(counts_a) else 0,
-                        counts_b[ib] if ib < len(counts_b) else 0))
-        out[key] = CoincidenceCounts(*cell, n_total=max(n_opp, sum(cell)), settings=key)
-    return out
+    pa = np.asarray(pairs_a, dtype=np.int64)
+    pb = np.asarray(pairs_b, dtype=np.int64)
+    counts_a = np.bincount(stream_a.setting_index).tolist()
+    counts_b = np.bincount(stream_b.setting_index).tolist()
+    n_a, n_b = len(counts_a), len(counts_b)
+    codes = 4 * (stream_a.setting_index[pa] * n_b + stream_b.setting_index[pb])
+    codes += 2 * (stream_a.x[pa] < 0) + (stream_b.x[pb] < 0)
+    cells = np.bincount(codes, minlength=4 * n_a * n_b).reshape(n_a, n_b, 4).tolist()
+    return {
+        (a, b): CoincidenceCounts(*cells[a][b], n_total=min(count_a, count_b))
+        for a, count_a in enumerate(counts_a) if count_a
+        for b, count_b in enumerate(counts_b) if count_b
+    }

@@ -208,7 +208,7 @@ class TrialBlock:
     read the event arrays directly.
     """
 
-    def __init__(self, params, a1, a2, x1, k1, x2, k2, hidden=None, first_index=0):
+    def __init__(self, params, a1, a2, x1, k1, x2, k2, hidden=None):
         self.params = params
         self.a1 = a1
         self.a2 = a2
@@ -217,7 +217,6 @@ class TrialBlock:
         self.x2 = x2
         self.k2 = k2
         self.hidden = hidden  # (sx, sy, sz, lam1, lam2) or None
-        self.first_index = first_index
         for arr in (x1, k1, x2, k2):
             arr.flags.writeable = False
 
@@ -236,7 +235,7 @@ class TrialBlock:
                 lambda1=float(l1[i]), lambda2=float(l2[i]),
             )
         return TrialRecord(
-            index=self.first_index + i,
+            index=i,
             hidden=hp,
             ev1=StationEvent(int(self.x1[i]), int(self.k1[i])),
             ev2=StationEvent(int(self.x2[i]), int(self.k2[i])),

@@ -100,8 +100,7 @@ class ThetaEngine:
             codes = base + (x2 < 0)
             for w in window_list:
                 cells[w] += block_cells(codes, dk, w, n_blocks)
-        settings = (Setting.from_polar(0.0), a2)
-        by_window = {w: counts_per_block(cells[w], edges, settings) for w in window_list}
+        by_window = {w: counts_per_block(cells[w], edges) for w in window_list}
         return by_window[window_list[0]] if single else by_window
 
     def estimate_at(self, theta: float, w_bins: int | None = None,

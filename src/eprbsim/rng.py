@@ -93,6 +93,3 @@ class TrialStream:
         self._pos += count
         u = raw_uint64(self.seed, np.uint64(self.trial_index), draws)
         return (u >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-    def next_uniform(self) -> float:
-        return float(self.uniforms(1)[0])

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .analyze import analyze_streams, report_rows, synthetic_singlet_streams
-from .coincidence import estimate, merge_counts
+from .coincidence import JACKKNIFE_BLOCKS, estimate, merge_counts
 from .errors import FitError, UsageError
 from .inequalities import SearchSpec, SReport, maximize_S
 from .model import SimParams
-from .oracles import gamma_limit, quantum_E, raw_sign_E, smax_quantum
+from .oracles import gamma_limit, smax_quantum
 from .pipeline import ThetaEngine
 from .ttag_io import (
     RunManifest,
@@ -33,6 +33,10 @@ from .ttag_io import (
 
 #: Default master seed for scenario runs.
 DEFAULT_SEED = 1
+
+#: Model parameters of scenario runs and of the command line, unless overridden.
+DEFAULT_PARAMS = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=10**6,
+                           seed=DEFAULT_SEED)
 
 #: theta grid used by the figure scenarios: 0 to pi in steps of pi/36.
 FIGURE_GRID = np.linspace(0.0, math.pi, 37)
@@ -55,37 +59,35 @@ class SweepResult:
 
     rows: tuple[SweepRow, ...]
     params: SimParams
-    label: str
-
-    def thetas(self) -> np.ndarray:
-        return np.array([r.theta for r in self.rows])
-
-    def e_values(self) -> np.ndarray:
-        return np.array([r.e if r.e is not None else np.nan for r in self.rows])
-
-    def gammas(self) -> np.ndarray:
-        return np.array([r.gamma for r in self.rows])
 
 
-def sweep_theta(params: SimParams, thetas=FIGURE_GRID, label: str = "",
-                n_blocks: int = 100) -> SweepResult:
-    """Estimate correlations over a theta grid with trials shared across points.
-
-    Station 1 measures along z-hat; station 2 along z-hat rotated by theta in
-    the xz-plane.
-    """
+def _window_sweeps(params: SimParams, windows, thetas,
+                   n_blocks: int = JACKKNIFE_BLOCKS) -> tuple[SweepResult, ...]:
+    """One sweep per distinct window, in first-seen order, all over one ensemble."""
     grid = [float(t) for t in thetas]
     if any(not 0.0 <= t <= math.pi for t in grid):
         raise ValueError("theta grid must lie inside [0, pi]")
     if sorted(grid) != grid or len(set(grid)) != len(grid):
         raise ValueError("theta grid must be strictly increasing")
     engine = ThetaEngine(params)
-    rows = []
+    rows: dict[int, list[SweepRow]] = {int(w): [] for w in windows}
     for t in grid:
-        est = engine.estimate_at(t, n_blocks=n_blocks)
-        rows.append(SweepRow(theta=t, e=est.e, stderr_e=est.stderr_e,
-                             gamma=est.gamma, n_coinc=est.n_coinc))
-    return SweepResult(rows=tuple(rows), params=params, label=label)
+        for w, blocks in engine.block_counts_at(t, list(rows), n_blocks).items():
+            est = estimate(merge_counts(blocks), blocks)
+            rows[w].append(SweepRow(theta=t, e=est.e, stderr_e=est.stderr_e,
+                                    gamma=est.gamma, n_coinc=est.n_coinc))
+    return tuple(SweepResult(rows=tuple(r), params=replace(params, w_bins=w))
+                 for w, r in rows.items())
+
+
+def sweep_theta(params: SimParams, thetas=FIGURE_GRID,
+                n_blocks: int = JACKKNIFE_BLOCKS) -> SweepResult:
+    """Estimate correlations over a theta grid with trials shared across points.
+
+    Station 1 measures along z-hat; station 2 along z-hat rotated by theta in
+    the xz-plane.
+    """
+    return _window_sweeps(params, [params.w_bins], thetas, n_blocks)[0]
 
 
 def cosine_fit_max_z(sweep: SweepResult) -> float:
@@ -209,10 +211,7 @@ def fit_window(target_smax: float, params: SimParams, tolerance: float = 0.01,
 # scenario bundles
 
 def _base_params(overrides: dict | None) -> SimParams:
-    values = {"w_bins": 1, "t0_ratio": 1000.0, "d": 3.0,
-              "n_trials": 10**6, "seed": DEFAULT_SEED}
-    values.update(overrides or {})
-    return SimParams(**values)
+    return replace(DEFAULT_PARAMS, **(overrides or {}))
 
 
 def _sweep_rows_for_csv(sweep: SweepResult, extra=None):
@@ -223,29 +222,10 @@ def _sweep_rows_for_csv(sweep: SweepResult, extra=None):
         yield base
 
 
-def _multi_window_sweeps(params: SimParams, windows, thetas) -> dict[int, SweepResult]:
-    """One ensemble, many windows: identical trials under every window."""
-    engine = ThetaEngine(params)
-    rows: dict[int, list[SweepRow]] = {w: [] for w in windows}
-    for t in thetas:
-        by_window = engine.block_counts_at(float(t), list(windows))
-        for w in windows:
-            blocks = by_window[w]
-            est = estimate(merge_counts(blocks), blocks)
-            rows[w].append(SweepRow(theta=float(t), e=est.e, stderr_e=est.stderr_e,
-                                    gamma=est.gamma, n_coinc=est.n_coinc))
-    return {
-        w: SweepResult(rows=tuple(rows[w]), params=replace(params, w_bins=w),
-                       label=f"w{w}")
-        for w in windows
-    }
-
-
 def _scenario_fig1(params: SimParams, out: Path) -> dict[str, Path]:
-    sweeps = _multi_window_sweeps(params, (1, 16, 285), FIGURE_GRID)
     files = {}
-    for w, sweep in sweeps.items():
-        path = out / f"gamma_w{w}.csv"
+    for sweep in _window_sweeps(params, (1, 16, 285), FIGURE_GRID):
+        path = out / f"gamma_w{sweep.params.w_bins}.csv"
         write_results_csv(path, ["theta", "e", "stderr_e", "gamma", "n_coinc"],
                           _sweep_rows_for_csv(sweep))
         files[path.name] = path
@@ -253,10 +233,9 @@ def _scenario_fig1(params: SimParams, out: Path) -> dict[str, Path]:
 
 
 def _scenario_fig2(params: SimParams, out: Path) -> dict[str, Path]:
-    sweeps = _multi_window_sweeps(params, (1, 16, 285), FIGURE_GRID)
     files = {}
-    for w, sweep in sweeps.items():
-        path = out / f"e_w{w}.csv"
+    for sweep in _window_sweeps(params, (1, 16, 285), FIGURE_GRID):
+        path = out / f"e_w{sweep.params.w_bins}.csv"
         write_results_csv(
             path,
             ["theta", "e", "stderr_e", "gamma", "n_coinc", "e_singlet"],

@@ -29,6 +29,12 @@ class TestExitCodes:
         assert code == 1
         assert "w_bins" in err
 
+    def test_scenario_invalid_trials_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "scenario", "oracle-check",
+                               "--out", str(tmp_path), "--n", "0")
+        assert code == 1
+        assert err.startswith("usage error:") and "n_trials" in err
+
     def test_missing_analyze_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "analyze", "--file-a", str(tmp_path / "none.csv"),
@@ -109,6 +115,14 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 1
         assert "n" in err
+
+    def test_scenario_bad_config_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = abc\n")
+        code, _, err = run_cli(capsys, "scenario", "oracle-check", "--out",
+                               str(tmp_path / "out"), "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("usage error:") and "'n'" in err
 
 
 class TestOtherCommands:

@@ -5,7 +5,8 @@ Speed work on the simulate-and-tally path must leave every table
 byte-identical, so these digests were recorded once and are compared here
 rather than between two runs of the same code.  The engine property test
 checks the cached and chunked engines against the per-block reference tally
-of ``run_pairs``.
+of ``run_pairs``.  The stream-matching pins cover ``match_streams`` on
+random multi-setting streams and on the exported layout of four blocks.
 """
 
 import hashlib
@@ -18,16 +19,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprbsim import (
+    EventStream,
     Setting,
     SimParams,
     ThetaEngine,
     TrialStream,
+    export_station_streams,
+    match_streams,
     run_pairs,
     run_scenario,
+    tally,
     tally_blocks,
     uniform_block,
 )
 from eprbsim import pipeline
+from eprbsim.cli import main
 from eprbsim.ttag_io import read_manifest
 
 
@@ -73,6 +79,69 @@ class TestPinnedBytes:
     def test_scenario_table_digest(self, tmp_path, name, table, digest):
         run = run_scenario(name, tmp_path, {"n_trials": 20000, "seed": 5})
         assert read_manifest(run.manifest_path).output_digests[table] == digest
+
+
+    def test_sweep_stdout(self, capsys):
+        assert main(["sweep", "--w-bins", "16", "--n", "20000", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "48bee23b80c6234111ded40ffc3c4401b6271a9a7c252b5cb218885d70879ff1")
+
+
+def _random_streams(seed, n_a, n_b):
+    """Sorted streams, 3 station-A and 2 station-B settings, tag gaps 0..11."""
+    out = []
+    for i, (n, n_settings) in enumerate(((n_a, 3), (n_b, 2))):
+        u = uniform_block(seed, i * 10**6, i * 10**6 + max(n, 1), 3)[:, :n]
+        out.append(EventStream(np.cumsum((u[0] * 12).astype(np.int64)),
+                               (u[1] * n_settings).astype(np.int64),
+                               np.where(u[2] < 0.5, 1, -1)))
+    return out
+
+
+def _cells(counts):
+    return [(key, (c.n_pp, c.n_pm, c.n_mp, c.n_mm, c.n_total))
+            for key, c in counts.items()]
+
+
+class TestPinnedMatching:
+    @pytest.mark.parametrize("w_bins, digest", [
+        (1, "a4356259f3d81498511734af9e7d2ab6e37d25c4c38c85f779e58bb4f458b4cc"),
+        (5, "f6643a624127a314ff30455e47956bcee0d6a11f278dc8296f8c56e900c95608"),
+        (40, "5098944681e892ac7c69717c180799282712e83597bfa55d564400eedcf9969d"),
+    ])
+    def test_random_multi_setting_streams(self, w_bins, digest):
+        cells = _cells(match_streams(*_random_streams(11, 4000, 3500), w_bins))
+        assert [key for key, _ in cells] == [(a, b) for a in range(3) for b in range(2)]
+        # keys in order, the four cell counts and n_total, all Python ints
+        assert hashlib.sha256(repr(cells).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n_a, n_b", [(0, 50), (50, 0), (0, 0)])
+    def test_empty_stream(self, n_a, n_b):
+        assert match_streams(*_random_streams(11, n_a, n_b), 5) == {}
+
+    def test_exported_two_by_two_layout(self):
+        w, n = 5, 3000
+        blocks = {
+            (i, j): run_pairs(Setting.from_polar(a), Setting.from_polar(b),
+                              SimParams(w, 37.5, 3.0, n, seed=1 + 2 * i + j))
+            for i, a in enumerate((0.0, math.pi / 2))
+            for j, b in enumerate((math.pi / 4, 3 * math.pi / 4))
+        }
+        cols_a, cols_b, offset = [], [], 0
+        for (i, j), blk in blocks.items():  # the four cells one after another in time
+            for cols, s in zip((cols_a, cols_b), export_station_streams(blk, i, j)):
+                cols.append((s.k + offset, s.setting_index, s.x))
+            offset += n * 2 * (blk.params.max_tag + 1)
+        stream_a, stream_b = (EventStream(*map(np.concatenate, zip(*cols)))
+                              for cols in (cols_a, cols_b))
+        counts = match_streams(stream_a, stream_b, w)
+        assert list(counts) == list(blocks)
+        for key, blk in blocks.items():
+            t = tally(blk, w)
+            c = counts[key]
+            assert (c.n_pp, c.n_pm, c.n_mp, c.n_mm) == (t.n_pp, t.n_pm, t.n_mp, t.n_mm)
+            assert c.n_total == 2 * n  # min of per-setting event counts
 
 
 class TestEngineMatchesReferenceTally:
