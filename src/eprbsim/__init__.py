@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .coincidence import (
     CoincidenceCounts,
     CorrelationEstimate,
-    coincide,
     estimate,
     estimate_block,
     match_streams,
@@ -16,8 +15,6 @@ from .coincidence import (
 from .errors import EprbError, FitError, QuadratureError, TtagFormatError, UsageError
 from .inequalities import (
     GammaInfimum,
-    SearchSpec,
-    SettingsQuad,
     SReport,
     ViolationFlags,
     check_violations,
@@ -26,22 +23,11 @@ from .inequalities import (
     min_gamma,
     s_value,
 )
-from .model import (
-    HiddenPair,
-    Setting,
-    SimParams,
-    StationEvent,
-    TrialBlock,
-    TrialRecord,
-    run_pairs,
-    sample_hidden,
-    station,
-)
-from .oracles import LimitCurve, gamma_limit, limit_curve, quantum_E, raw_sign_E, smax_quantum
+from .model import Setting, SimParams, TrialBlock, run_pairs
+from .oracles import gamma_limit, quantum_E, raw_sign_E, smax_quantum
 from .pipeline import ThetaEngine
-from .rng import TrialStream, uniform_block
+from .rng import uniform_block
 from .scenarios import (
-    DEFAULT_SEED,
     FitResult,
     SweepResult,
     cosine_fit_max_z,
@@ -53,7 +39,6 @@ from .analyze import AnalysisReport, analyze_external, analyze_streams, syntheti
 from .ttag_io import (
     EventStream,
     RunManifest,
-    TimeTagRecord,
     export_station_streams,
     read_events,
     read_manifest,

@@ -17,12 +17,13 @@ from . import __version__
 from .analyze import analyze_external, report_rows
 from .coincidence import estimate_block, singles_means
 from .errors import EprbError, UsageError
-from .inequalities import SearchSpec, maximize_S
+from .inequalities import THETA_STEP, _theta_grid, maximize_S
 from .model import Setting, SimParams, run_pairs
 from .oracles import gamma_limit, quantum_E, raw_sign_E
 from .scenarios import (
     DEFAULT_PARAMS,
     SCENARIO_IDS,
+    _check_tolerance,
     fit_window,
     run_scenario,
     sweep_theta,
@@ -44,7 +45,7 @@ _DEFAULTS = {
     "theta": math.pi / 2,
     "theta_grid": f"0:{math.pi:.17g}:37",
     "tolerance": 0.01,
-    "theta_step": math.pi / 72,
+    "theta_step": THETA_STEP,
 }
 
 _CASTS = {
@@ -91,17 +92,19 @@ def _resolve(args, key):
     raise UsageError(f"missing required option --{key.replace('_', '-')}")
 
 
-def _params_from(args, windowed: bool = True) -> SimParams:
+def _checked(check, *args):
+    """``check(*args)``, its ValueError on a rejected option as a usage error."""
     try:
-        return SimParams(
-            w_bins=_resolve(args, "w_bins") if windowed else 1,
-            t0_ratio=_resolve(args, "t0_ratio"),
-            d=_resolve(args, "d"),
-            n_trials=_resolve(args, "n"),
-            seed=_resolve(args, "seed"),
-        )
+        return check(*args)
     except ValueError as ex:
         raise UsageError(str(ex)) from None
+
+
+def _params_from(args, windowed: bool = True) -> SimParams:
+    return _checked(SimParams,
+                    _resolve(args, "w_bins") if windowed else 1,
+                    _resolve(args, "t0_ratio"), _resolve(args, "d"),
+                    _resolve(args, "n"), _resolve(args, "seed"))
 
 
 def _parse_grid(spec: str):
@@ -116,7 +119,10 @@ def _parse_grid(spec: str):
     if count < 2 or stop <= start:
         raise UsageError("theta grid needs stop > start and count >= 2")
     step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
+    grid = [start + i * step for i in range(count)]
+    if not all(0.0 <= t <= math.pi for t in grid):
+        raise UsageError("theta grid must lie inside [0, pi]")
+    return grid
 
 
 def _parse_angles(spec: str):
@@ -191,7 +197,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_smax(args) -> int:
     params = _params_from(args)
-    report = maximize_S(params, SearchSpec(theta_step=_resolve(args, "theta_step")))
+    theta_step = _resolve(args, "theta_step")
+    _checked(_theta_grid, theta_step)
+    report = maximize_S(params, theta_step)
     a, b, c, d = report.quad_angles
     _emit([
         ("s_max", report.s), ("stderr_s", report.stderr_s),
@@ -208,7 +216,9 @@ def _cmd_smax(args) -> int:
 def _cmd_fit(args) -> int:
     params = _params_from(args, windowed=False)
     target = _resolve(args, "target")
-    fit = fit_window(target, params, tolerance=_resolve(args, "tolerance"))
+    tolerance = _resolve(args, "tolerance")
+    _checked(_check_tolerance, tolerance)
+    fit = fit_window(target, params, tolerance=tolerance)
     _emit([
         ("target_smax", fit.target_smax), ("fitted_w_bins", fit.fitted_w_bins),
         ("achieved_smax", fit.achieved_smax), ("gamma_inf", fit.gamma_inf),

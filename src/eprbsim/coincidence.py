@@ -19,13 +19,6 @@ from .model import TrialBlock
 JACKKNIFE_BLOCKS = 100
 
 
-def coincide(k1: int, k2: int, w_bins: int) -> bool:
-    """True when two tag bins fall inside one coincidence window."""
-    if w_bins < 1:
-        raise ValueError("w_bins must be >= 1")
-    return abs(int(k1) - int(k2)) < w_bins
-
-
 @dataclass(frozen=True)
 class CoincidenceCounts:
     """Outcome-pair tallies over the coincident subset of a trial sequence.
@@ -106,27 +99,15 @@ def counts_per_block(cells, edges) -> list[CoincidenceCounts]:
     ]
 
 
-def tally(trials, w_bins: int) -> CoincidenceCounts:
-    """Tally outcome pairs over the coincident subset of ``trials``.
+def tally(trials: TrialBlock, w_bins: int) -> CoincidenceCounts:
+    """Tally outcome pairs over the coincident subset of a trial block.
 
-    Accepts a :class:`TrialBlock` (vectorized) or any iterable of
-    :class:`TrialRecord`.  Tallies of disjoint blocks merge associatively to
-    the tally of the concatenation.
+    Tallies of disjoint blocks merge associatively to the tally of the
+    concatenation.
     """
-    if w_bins < 1:
-        raise ValueError("w_bins must be >= 1")
-    if isinstance(trials, TrialBlock):
-        return tally_blocks(trials, w_bins, n_blocks=1)[0]
-    counts = [0, 0, 0, 0]
-    n_total = 0
-    for rec in trials:
-        n_total += 1
-        if coincide(rec.ev1.k, rec.ev2.k, w_bins):
-            cell = (2 if rec.ev1.x < 0 else 0) + (1 if rec.ev2.x < 0 else 0)
-            counts[cell] += 1
-    if n_total == 0:
-        raise ValueError("empty trial sequence")
-    return CoincidenceCounts(*counts, n_total=n_total)
+    if len(trials) == 0:
+        raise ValueError("empty trial block")
+    return tally_blocks(trials, w_bins, n_blocks=1)[0]
 
 
 def tally_blocks(trials: TrialBlock, w_bins: int,
@@ -206,10 +187,9 @@ def estimate(counts: CoincidenceCounts,
     return CorrelationEstimate(e, e1, e2, gamma, stderr, counts.n_coinc)
 
 
-def estimate_block(trials: TrialBlock, w_bins: int,
-                   n_blocks: int = JACKKNIFE_BLOCKS) -> CorrelationEstimate:
+def estimate_block(trials: TrialBlock, w_bins: int) -> CorrelationEstimate:
     """Tally a block and estimate with jackknife errors in one step."""
-    blocks = tally_blocks(trials, w_bins, n_blocks)
+    blocks = tally_blocks(trials, w_bins)
     return estimate(merge_counts(blocks), blocks)
 
 

@@ -21,27 +21,18 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import FitError
-from .model import Setting, SimParams
+from .model import SimParams
 from .pipeline import ThetaEngine
 
 TRIVIAL_BOUND = 4.0
 CHSH_BOUND = 2.0
 
+#: Default spacing of the correlation-estimation grid on [0, pi].
+THETA_STEP = math.pi / 72
+
+_COARSE_STEP = math.pi / 36  # spacing of the coarse angle-quadruple grid
+_REFINE_TOL = math.pi / 720  # golden-section termination width of both refinements
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class SettingsQuad:
-    """Four detector orientations: ``a``, ``b`` at station 1, ``c``, ``d`` at station 2."""
-
-    a: Setting
-    b: Setting
-    c: Setting
-    d: Setting
-
-    @classmethod
-    def from_angles(cls, a: float, b: float, c: float, d: float) -> "SettingsQuad":
-        return cls(*(Setting.from_polar(t) for t in (a, b, c, d)))
 
 
 def s_value(e_ac: float, e_ad: float, e_bc: float, e_bd: float) -> float:
@@ -89,24 +80,9 @@ def check_violations(s: float, gamma_inf: float) -> ViolationFlags:
 
 
 @dataclass(frozen=True)
-class SearchSpec:
-    """Grid resolutions for the settings search.
-
-    theta_step    spacing of the correlation-estimation grid on [0, pi]
-    coarse_step   spacing of the coarse angle-quadruple grid
-    refine_tol    golden-section termination width for both refinements
-    n_blocks      jackknife blocks per grid point
-    """
-
-    theta_step: float = math.pi / 72
-    coarse_step: float = math.pi / 36
-    refine_tol: float = math.pi / 720
-    n_blocks: int = 100
-
-
-@dataclass(frozen=True)
 class SReport:
-    """Result of a settings search: the combination, its maximizer and bounds.
+    """Result of a settings search: the combination, its maximizing polar
+    angles ``quad_angles`` (``a``, ``b`` at station 1, ``c``, ``d`` at 2) and bounds.
 
     ``s`` is the held-out combination: its four legs are estimated at the
     chosen angles on ensembles independent of the one that chose them, and
@@ -116,7 +92,6 @@ class SReport:
     """
 
     s: float
-    quad: SettingsQuad
     gamma_inf: float
     bound_trivial: float
     bound_chsh: float
@@ -137,6 +112,8 @@ class GammaInfimum:
 
 
 def _theta_grid(theta_step: float) -> np.ndarray:
+    if not (theta_step > 0 and math.isfinite(theta_step)):
+        raise ValueError(f"theta_step must be positive and finite, got {theta_step!r}")
     n = int(round(math.pi / theta_step))
     if n < 4:
         raise ValueError("theta grid needs at least 5 points covering [0, pi]")
@@ -170,9 +147,8 @@ def _fold(delta):
 class _CurveMaximizer:
     """Maximizes the combination over planar quadruples of one E(theta) curve."""
 
-    def __init__(self, thetas, e_values, search: SearchSpec):
+    def __init__(self, thetas, e_values):
         self._interp = PchipInterpolator(thetas, e_values)
-        self._search = search
 
     def e_of(self, delta):
         return self._interp(_fold(delta))
@@ -183,8 +159,7 @@ class _CurveMaximizer:
                      + self.e_of(b - c) + self.e_of(b - d))
 
     def maximize(self):
-        spec = self._search
-        m = max(8, int(round(2.0 * math.pi / spec.coarse_step)))
+        m = max(8, int(round(2.0 * math.pi / _COARSE_STEP)))
         step = 2.0 * math.pi / m
         table = self.e_of(np.arange(m) * step)
         # the combination only sees angle differences, so pin a = 0
@@ -206,7 +181,7 @@ class _CurveMaximizer:
                     return self.s_of(q)
 
                 x, v = _golden_max(on_axis, best[axis] - step, best[axis] + step,
-                                   spec.refine_tol)
+                                   _REFINE_TOL)
                 if v > best_s + 1e-15:
                     best[axis] = x
                     best_s = v
@@ -216,22 +191,21 @@ class _CurveMaximizer:
         return best_s, tuple(t % (2.0 * math.pi) for t in best)
 
 
-def _gamma_infimum(engine: ThetaEngine, thetas, gammas, w_bins: int,
-                   refine_tol: float) -> GammaInfimum:
+def _gamma_infimum(engine: ThetaEngine, thetas, gammas, w_bins: int) -> GammaInfimum:
     """Grid minimum of the coincidence frequency plus a refinement step."""
     idx = int(np.argmin(gammas))
     best_g = float(gammas[idx])
     best_t = float(thetas[idx])
-    step = float(thetas[1] - thetas[0]) if len(thetas) > 1 else math.pi / 72
+    step = float(thetas[1] - thetas[0])
     lo = max(0.0, best_t - step)
     hi = min(math.pi, best_t + step)
-    t, neg_g = _golden_max(lambda th: -engine.gamma_at(th, w_bins), lo, hi, refine_tol)
+    t, neg_g = _golden_max(lambda th: -engine.gamma_at(th, w_bins), lo, hi, _REFINE_TOL)
     if -neg_g < best_g:
         best_g, best_t = -neg_g, t
     return GammaInfimum(gamma=best_g, theta=best_t)
 
 
-def maximize_S(params: SimParams, search: SearchSpec = SearchSpec()) -> SReport:
+def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
     """Search planar settings for the maximal combination at one seed.
 
     Estimates E(theta) on the search grid with trials shared across points,
@@ -244,9 +218,9 @@ def maximize_S(params: SimParams, search: SearchSpec = SearchSpec()) -> SReport:
     coincidence infimum over the selection grid is reported alongside the
     trivial, CHSH-form and post-selection bounds.
     """
-    thetas = _theta_grid(search.theta_step)
+    thetas = _theta_grid(theta_step)
     engine = ThetaEngine(params)
-    ests = [engine.estimate_at(float(t), n_blocks=search.n_blocks) for t in thetas]
+    ests = [engine.estimate_at(float(t)) for t in thetas]
     e_vals = np.array([est.e if est.e is not None else 0.0 for est in ests])
     undefined = [i for i, est in enumerate(ests) if est.e is None]
     if undefined:
@@ -254,22 +228,20 @@ def maximize_S(params: SimParams, search: SearchSpec = SearchSpec()) -> SReport:
             f"no coincidences at {len(undefined)} grid angles "
             f"(first at theta={thetas[undefined[0]]:.4f}); window too small for N")
     gammas = np.array([est.gamma for est in ests])
-    s_select, angles = _CurveMaximizer(thetas, e_vals, search).maximize()
+    s_select, angles = _CurveMaximizer(thetas, e_vals).maximize()
 
     n = params.n_trials
     a, b, c, d = angles
-    legs = [ThetaEngine(params, first_trial=(i + 1) * n).estimate_at(
-                float(_fold(delta)), n_blocks=search.n_blocks)
+    legs = [ThetaEngine(params, first_trial=(i + 1) * n).estimate_at(float(_fold(delta)))
             for i, delta in enumerate((a - c, a - d, b - c, b - d))]
     if any(leg.e is None for leg in legs):
         raise FitError("no coincidences in a held-out leg; window too small for N")
     s = s_value(*(leg.e for leg in legs))
     stderr_s = math.sqrt(sum((leg.stderr_e or 0.0) ** 2 for leg in legs))
 
-    inf = _gamma_infimum(engine, thetas, gammas, params.w_bins, search.refine_tol)
+    inf = _gamma_infimum(engine, thetas, gammas, params.w_bins)
     return SReport(
         s=s,
-        quad=SettingsQuad.from_angles(*angles),
         gamma_inf=inf.gamma,
         bound_trivial=TRIVIAL_BOUND,
         bound_chsh=CHSH_BOUND,
@@ -282,19 +254,18 @@ def maximize_S(params: SimParams, search: SearchSpec = SearchSpec()) -> SReport:
     )
 
 
-def min_gamma(params: SimParams, theta_step: float = math.pi / 72,
-              thetas=None, refine_tol: float = math.pi / 720) -> GammaInfimum:
+def min_gamma(params: SimParams, thetas=None) -> GammaInfimum:
     """Minimum estimated coincidence frequency over a theta grid.
 
     The grid must cover [0, pi]; the grid minimum is refined by a
     golden-section step around the argmin at the same seed.
     """
     if thetas is None:
-        grid = _theta_grid(theta_step)
+        grid = _theta_grid(THETA_STEP)
     else:
         grid = np.asarray(sorted(float(t) for t in thetas))
         if len(grid) < 2 or grid[0] > 1e-9 or grid[-1] < math.pi - 1e-9:
             raise ValueError("theta grid must cover [0, pi]")
     engine = ThetaEngine(params)
     gammas = np.array([engine.estimate_at(float(t), n_blocks=1).gamma for t in grid])
-    return _gamma_infimum(engine, grid, gammas, params.w_bins, refine_tol)
+    return _gamma_infimum(engine, grid, gammas, params.w_bins)

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .rng import TrialStream, uniform_block
+from .rng import uniform_block
 
 #: Draws consumed per trial: s_z, azimuth, lambda_1, lambda_2 (in this order).
 DRAWS_PER_TRIAL = 4
@@ -56,8 +55,8 @@ class SimParams:
             raise ValueError(f"d must be a finite real >= 0, got {self.d!r}")
         if int(self.n_trials) != self.n_trials or self.n_trials < 1:
             raise ValueError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property
     def max_tag(self) -> int:
@@ -89,68 +88,6 @@ class Setting:
     def dot(self, other: "Setting") -> float:
         return float(self.vec @ other.vec)
 
-    def angle_to(self, other: "Setting") -> float:
-        return math.acos(min(1.0, max(-1.0, self.dot(other))))
-
-    def __repr__(self):  # keep reprs short in reports
-        x, y, z = self.vec
-        return f"Setting([{x:.6g}, {y:.6g}, {z:.6g}])"
-
-
-@dataclass(frozen=True)
-class HiddenPair:
-    """Hidden per-trial variables: particle-1 spin direction and delay fractions."""
-
-    s: tuple[float, float, float]
-    lambda1: float
-    lambda2: float
-
-    def __post_init__(self):
-        sx, sy, sz = self.s
-        if abs(sx * sx + sy * sy + sz * sz - 1.0) > 1e-9:
-            raise ValueError("s must be a unit vector")
-        if not (0.0 <= self.lambda1 < 1.0 and 0.0 <= self.lambda2 < 1.0):
-            raise ValueError("delay fractions must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class StationEvent:
-    """One detection: outcome ``x`` in {-1, +1} and integer time-tag bin ``k``."""
-
-    x: int
-    k: int
-
-    def __post_init__(self):
-        if self.x * self.x != 1:
-            raise ValueError("x must be -1 or +1")
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One emission: trial number, optional hidden variables, both events."""
-
-    index: int
-    hidden: HiddenPair | None
-    ev1: StationEvent
-    ev2: StationEvent
-
-
-def sample_hidden(stream: TrialStream) -> HiddenPair:
-    """Draw one trial's hidden variables, consuming exactly four uniforms.
-
-    Order: ``s_z`` uniform on [-1, 1), azimuth uniform on [0, 2*pi), then
-    ``lambda1`` and ``lambda2`` uniform on [0, 1).  The polar draw makes ``s``
-    uniform on the unit sphere.
-    """
-    u = stream.uniforms(DRAWS_PER_TRIAL)
-    z = 2.0 * u[0] - 1.0
-    phi = 2.0 * math.pi * u[1]
-    rho = math.sqrt(max(0.0, 1.0 - z * z))
-    s = (rho * math.cos(phi), rho * math.sin(phi), z)
-    return HiddenPair(s=s, lambda1=float(u[2]), lambda2=float(u[3]))
-
 
 def _station_kernel(ax, ay, az, sx, sy, sz, lam, t0_ratio, d):
     """Vectorized station law; every input local to the station.
@@ -171,29 +108,8 @@ def _station_kernel(ax, ay, az, sx, sy, sz, lam, t0_ratio, d):
     return x, np.floor(c, out=c).astype(np.int64)
 
 
-def station(a: Setting, s_local, lam: float, params: SimParams) -> StationEvent:
-    """Scalar station response for one particle.
-
-    ``s_local`` is the unit spin arriving at this station (``+s`` at station 1,
-    ``-s`` at station 2).  Runs the same kernel as the bulk path, so scalar
-    and vectorized results are bit-identical.
-    """
-    s = np.asarray(s_local, dtype=np.float64).reshape(3)
-    if abs(float(s @ s) - 1.0) > 1e-9:
-        raise ValueError("s_local must be a unit vector")
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("lambda must lie in [0, 1)")
-    ax, ay, az = (float(v) for v in a.vec)
-    x, k = _station_kernel(
-        ax, ay, az,
-        np.array([s[0]]), np.array([s[1]]), np.array([s[2]]),
-        np.array([lam]), params.t0_ratio, params.d,
-    )
-    return StationEvent(x=int(x[0]), k=int(k[0]))
-
-
 def _hidden_arrays(seed: int, first: int, last: int):
-    """Hidden variables for trials ``first..last-1`` as flat arrays."""
+    """``(sx, sy, sz, lam1, lam2)`` of trials ``first..last-1``; ``s`` uniform on the sphere."""
     u = uniform_block(seed, first, last, DRAWS_PER_TRIAL)
     z = 2.0 * u[0] - 1.0
     phi = 2.0 * np.pi * u[1]
@@ -202,16 +118,13 @@ def _hidden_arrays(seed: int, first: int, last: int):
 
 
 class TrialBlock:
-    """Column-oriented sequence of trial records.
+    """Both stations' events of one setting pair as read-only columns.
 
-    Behaves as a read-only sequence of :class:`TrialRecord`; bulk consumers
-    read the event arrays directly.
+    Trial ``n`` is row ``n`` of ``x1``, ``k1``, ``x2`` and ``k2``.
     """
 
-    def __init__(self, params, a1, a2, x1, k1, x2, k2, hidden=None):
+    def __init__(self, params, x1, k1, x2, k2, hidden=None):
         self.params = params
-        self.a1 = a1
-        self.a2 = a2
         self.x1 = x1
         self.k1 = k1
         self.x2 = x2
@@ -222,28 +135,6 @@ class TrialBlock:
 
     def __len__(self) -> int:
         return len(self.x1)
-
-    def __getitem__(self, i: int) -> TrialRecord:
-        if not -len(self) <= i < len(self):
-            raise IndexError(i)
-        i = i % len(self)
-        hp = None
-        if self.hidden is not None:
-            sx, sy, sz, l1, l2 = self.hidden
-            hp = HiddenPair(
-                s=(float(sx[i]), float(sy[i]), float(sz[i])),
-                lambda1=float(l1[i]), lambda2=float(l2[i]),
-            )
-        return TrialRecord(
-            index=i,
-            hidden=hp,
-            ev1=StationEvent(int(self.x1[i]), int(self.k1[i])),
-            ev2=StationEvent(int(self.x2[i]), int(self.k2[i])),
-        )
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
 
 def run_pairs(a1: Setting, a2: Setting, params: SimParams,
@@ -264,4 +155,4 @@ def run_pairs(a1: Setting, a2: Setting, params: SimParams,
     x2, k2 = _station_kernel(a2x, a2y, a2z, -sx, -sy, -sz, lam2,
                              params.t0_ratio, params.d)
     hidden = (sx, sy, sz, lam1, lam2) if keep_hidden else None
-    return TrialBlock(params, a1, a2, x1, k1, x2, k2, hidden=hidden)
+    return TrialBlock(params, x1, k1, x2, k2, hidden=hidden)

@@ -42,11 +42,6 @@ def raw_sign_E(theta: float) -> float:
     return -(1.0 - 2.0 * theta / math.pi)
 
 
-def smax_value() -> float:
-    """The quantum ceiling ``2*sqrt(2)`` of the four-correlation combination."""
-    return 2.0 * math.sqrt(2.0)
-
-
 @dataclass(frozen=True)
 class QuantumMax:
     """The quantum maximum and a planar angle quadruple attaining it."""
@@ -62,7 +57,7 @@ def smax_quantum() -> QuantumMax:
     magnitude ``2*sqrt(2)``; perturbing any single angle strictly decreases
     that magnitude.
     """
-    return QuantumMax(value=smax_value(),
+    return QuantumMax(value=2.0 * math.sqrt(2.0),
                       angles=(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4))
 
 
@@ -120,22 +115,3 @@ def gamma_limit(theta: float, d: float) -> float:
             f"(value {val!r}, error {err!r})")
     return val
 
-
-@dataclass(frozen=True)
-class LimitCurve:
-    """``gamma_limit`` sampled on a grid, with divergent points marked.
-
-    ``values`` holds ``inf`` exactly at the angles listed in ``diverges_at``.
-    """
-
-    theta_grid: tuple[float, ...]
-    values: tuple[float, ...]
-    diverges_at: tuple[float, ...]
-
-
-def limit_curve(thetas, d: float) -> LimitCurve:
-    """Evaluate the small-window limit on a grid of angles."""
-    grid = [float(t) for t in thetas]
-    values = [gamma_limit(t, d) for t in grid]
-    diverges = [t for t, v in zip(grid, values) if math.isinf(v)]
-    return LimitCurve(tuple(grid), tuple(values), tuple(diverges))

@@ -28,13 +28,14 @@ from .coincidence import (
 )
 from .model import Setting, SimParams, _hidden_arrays, _station_kernel
 
+_CACHE_LIMIT = 8 * 10**6  # largest ensemble kept between calls, in trials
 _CHUNK = 1 << 22  # trials per chunk when the ensemble is too big to cache
 
 
 class ThetaEngine:
     """Evaluates correlation estimates over relative angles at a shared seed.
 
-    An ensemble of at most ``cache_limit`` trials is built once and keeps
+    An ensemble of at most ``_CACHE_LIMIT`` trials is built once and keeps
     what every tally reads: station 2's ``-s`` and ``lambda2`` (32 bytes a
     trial), station 1's ``k1`` (8) and ``x1`` (1), and for each jackknife
     layout in use the base cell codes ``4 * block + 2 * [x1 < 0]`` (8): 57
@@ -42,14 +43,13 @@ class ThetaEngine:
     ensemble is regenerated chunk by chunk on every call.
     """
 
-    def __init__(self, params: SimParams, cache_limit: int = 8 * 10**6,
-                 first_trial: int = 0):
+    def __init__(self, params: SimParams, first_trial: int = 0):
         if first_trial < 0:
             raise ValueError("first_trial must be >= 0")
         self.params = params
         self.first_trial = first_trial
         self._cache = (self._ensemble(0, params.n_trials)
-                       if params.n_trials <= cache_limit else None)
+                       if params.n_trials <= _CACHE_LIMIT else None)
         self._codes: dict[int, np.ndarray] = {}
 
     def _ensemble(self, lo: int, hi: int):

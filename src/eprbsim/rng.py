@@ -42,15 +42,6 @@ def _stream_state(seed: int, trial_index: np.ndarray) -> np.ndarray:
     return state
 
 
-def raw_uint64(seed: int, trial_index, draw_index) -> np.ndarray:
-    """Raw 64-bit outputs; ``trial_index`` and ``draw_index`` broadcast."""
-    s0 = _stream_state(seed, np.asarray(trial_index, dtype=np.uint64))
-    j = np.asarray(draw_index, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = s0 + (j + np.uint64(1)) * _GOLDEN
-    return _mix64(state)
-
-
 def uniform_block(seed: int, first_trial: int, last_trial: int, n_draws: int) -> np.ndarray:
     """Uniform [0, 1) doubles for a contiguous block of trials.
 
@@ -69,27 +60,3 @@ def uniform_block(seed: int, first_trial: int, last_trial: int, n_draws: int) ->
         np.multiply(np.right_shift(word, np.uint64(11), out=word), _INV_2_53, out=out[j])
     return out
 
-
-class TrialStream:
-    """Sequential view of one trial's substream.
-
-    The stream is deterministic in ``(seed, trial_index)`` and the number of
-    values consumed so far; two instances with equal arguments yield
-    bit-identical sequences.
-    """
-
-    def __init__(self, seed: int, trial_index: int):
-        if not 0 <= int(seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if trial_index < 0:
-            raise ValueError("trial_index must be non-negative")
-        self.seed = int(seed)
-        self.trial_index = int(trial_index)
-        self._pos = 0
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """Next ``count`` uniform [0, 1) doubles of this substream."""
-        draws = np.arange(self._pos, self._pos + count, dtype=np.uint64)
-        self._pos += count
-        u = raw_uint64(self.seed, np.uint64(self.trial_index), draws)
-        return (u >> np.uint64(11)).astype(np.float64) * _INV_2_53

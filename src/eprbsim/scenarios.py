@@ -16,9 +16,9 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .analyze import analyze_streams, report_rows, synthetic_singlet_streams
-from .coincidence import JACKKNIFE_BLOCKS, estimate, merge_counts
+from .coincidence import estimate, merge_counts
 from .errors import FitError, UsageError
-from .inequalities import SearchSpec, SReport, maximize_S
+from .inequalities import THETA_STEP, SReport, maximize_S
 from .model import SimParams
 from .oracles import gamma_limit, smax_quantum
 from .pipeline import ThetaEngine
@@ -31,12 +31,8 @@ from .ttag_io import (
     write_results_csv,
 )
 
-#: Default master seed for scenario runs.
-DEFAULT_SEED = 1
-
-#: Model parameters of scenario runs and of the command line, unless overridden.
-DEFAULT_PARAMS = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=10**6,
-                           seed=DEFAULT_SEED)
+#: Model parameters and seed of scenario runs and the command line, unless overridden.
+DEFAULT_PARAMS = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=10**6, seed=1)
 
 #: theta grid used by the figure scenarios: 0 to pi in steps of pi/36.
 FIGURE_GRID = np.linspace(0.0, math.pi, 37)
@@ -61,8 +57,7 @@ class SweepResult:
     params: SimParams
 
 
-def _window_sweeps(params: SimParams, windows, thetas,
-                   n_blocks: int = JACKKNIFE_BLOCKS) -> tuple[SweepResult, ...]:
+def _window_sweeps(params: SimParams, windows, thetas) -> tuple[SweepResult, ...]:
     """One sweep per distinct window, in first-seen order, all over one ensemble."""
     grid = [float(t) for t in thetas]
     if any(not 0.0 <= t <= math.pi for t in grid):
@@ -72,7 +67,7 @@ def _window_sweeps(params: SimParams, windows, thetas,
     engine = ThetaEngine(params)
     rows: dict[int, list[SweepRow]] = {int(w): [] for w in windows}
     for t in grid:
-        for w, blocks in engine.block_counts_at(t, list(rows), n_blocks).items():
+        for w, blocks in engine.block_counts_at(t, list(rows)).items():
             est = estimate(merge_counts(blocks), blocks)
             rows[w].append(SweepRow(theta=t, e=est.e, stderr_e=est.stderr_e,
                                     gamma=est.gamma, n_coinc=est.n_coinc))
@@ -80,14 +75,13 @@ def _window_sweeps(params: SimParams, windows, thetas,
                  for w, r in rows.items())
 
 
-def sweep_theta(params: SimParams, thetas=FIGURE_GRID,
-                n_blocks: int = JACKKNIFE_BLOCKS) -> SweepResult:
+def sweep_theta(params: SimParams, thetas=FIGURE_GRID) -> SweepResult:
     """Estimate correlations over a theta grid with trials shared across points.
 
     Station 1 measures along z-hat; station 2 along z-hat rotated by theta in
     the xz-plane.
     """
-    return _window_sweeps(params, [params.w_bins], thetas, n_blocks)[0]
+    return _window_sweeps(params, [params.w_bins], thetas)[0]
 
 
 def cosine_fit_max_z(sweep: SweepResult) -> float:
@@ -123,8 +117,13 @@ class FitResult:
     trace: tuple[tuple[int, float], ...] = ()
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+
+
 def fit_window(target_smax: float, params: SimParams, tolerance: float = 0.01,
-               search: SearchSpec = SearchSpec()) -> FitResult:
+               theta_step: float = THETA_STEP) -> FitResult:
     """Find the integer window reproducing a target combination value.
 
     Integer bisection over ``[1, ceil(t0_ratio)]`` at the params seed on the
@@ -138,14 +137,13 @@ def fit_window(target_smax: float, params: SimParams, tolerance: float = 0.01,
     the bracket member closer to the target, provided it lies within
     ``hypot(tolerance, stderr_s)`` of it.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tolerance)
     w_max = params.max_tag
     reports: dict[int, SReport] = {}
 
     def s_at(w: int) -> float:
         if w not in reports:
-            reports[w] = maximize_S(replace(params, w_bins=w), search)
+            reports[w] = maximize_S(replace(params, w_bins=w), theta_step)
         return reports[w].s
 
     def result(w: int) -> FitResult:

@@ -33,23 +33,6 @@ TTAG_VERSION = 1
 _HEADER_PREFIX = "# ttag-csv "
 
 
-@dataclass(frozen=True)
-class TimeTagRecord:
-    """One station event: tag bin, active setting index, outcome."""
-
-    k: int
-    setting_index: int
-    x: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
-        if self.setting_index < 0:
-            raise ValueError("setting_index must be non-negative")
-        if self.x not in (-1, 1):
-            raise ValueError("x must be -1 or +1")
-
-
 class EventStream:
     """Column view of one station's time-tag records, sorted by tag."""
 
@@ -71,9 +54,6 @@ class EventStream:
 
     def __len__(self):
         return len(self.k)
-
-    def __getitem__(self, i) -> TimeTagRecord:
-        return TimeTagRecord(int(self.k[i]), int(self.setting_index[i]), int(self.x[i]))
 
     def __eq__(self, other):
         return (isinstance(other, EventStream)

@@ -1,0 +1,65 @@
+"""Per-trial scalar oracle for the library's array path.
+
+The library simulates trials only in bulk: ``uniform_block`` ->
+``_hidden_arrays`` -> ``_station_kernel`` -> ``block_cells``.  This module
+replays one trial at a time, as the model is stated:
+
+* SplitMix64 in plain Python integers, sharing no code with ``eprbsim.rng``;
+* the hidden transform, with ``math``;
+* the station law, as ``model._station_kernel`` on length-1 arrays (a
+  pure-``math`` law may differ from numpy's vectorised ``power`` in the last
+  ulp);
+* a tally over ``(x1, k1, x2, k2)`` rows.
+"""
+
+import math
+
+import numpy as np
+
+from eprbsim.coincidence import CoincidenceCounts
+from eprbsim.model import _station_kernel
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_STREAM_SALT = 0x632BE59BD9B4E019
+
+
+def _mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def uniforms(seed: int, trial: int, count: int) -> list[float]:
+    """Draws ``0 .. count-1`` of one trial's substream, as [0, 1) doubles."""
+    state = _mix64((trial + _STREAM_SALT) & _MASK) ^ _mix64(seed)
+    return [(_mix64((state + (j + 1) * _GOLDEN) & _MASK) >> 11) / 2**53
+            for j in range(count)]
+
+
+def hidden(seed: int, trial: int):
+    """``(s, lambda1, lambda2)`` of one trial, from its first four draws."""
+    u = uniforms(seed, trial, 4)
+    z = 2.0 * u[0] - 1.0
+    phi = 2.0 * math.pi * u[1]
+    rho = math.sqrt(max(0.0, 1.0 - z * z))
+    return (rho * math.cos(phi), rho * math.sin(phi), z), u[2], u[3]
+
+
+def station(a, s_local, lam: float, params) -> tuple[int, int]:
+    """``(x, k)`` of one particle with spin ``s_local`` at setting ``a``."""
+    x, k = _station_kernel(*(float(v) for v in a.vec),
+                           *(np.array([float(c)]) for c in s_local),
+                           np.array([lam]), params.t0_ratio, params.d)
+    return int(x[0]), int(k[0])
+
+
+def tally(rows, w_bins: int) -> CoincidenceCounts:
+    """Cell counts of ``(x1, k1, x2, k2)`` rows, one trial at a time."""
+    cells = [0, 0, 0, 0]
+    n_total = 0
+    for x1, k1, x2, k2 in rows:
+        n_total += 1
+        if abs(k1 - k2) < w_bins:
+            cells[2 * (x1 < 0) + (x2 < 0)] += 1
+    return CoincidenceCounts(*cells, n_total=n_total)

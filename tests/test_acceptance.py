@@ -7,11 +7,9 @@ pinned seed, so each line reproduces deterministically.  Run with
 """
 
 import math
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
 from eprbsim import (
     Setting,
@@ -28,7 +26,6 @@ from eprbsim import (
     raw_sign_E,
     run_pairs,
     s_value,
-    smax_quantum,
     sweep_theta,
     tally,
     cosine_fit_max_z,

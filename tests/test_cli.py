@@ -35,6 +35,18 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("usage error:") and "n_trials" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep", *BASE, "--theta-grid", "0:4:5"], "[0, pi]"),
+        (["oracle", "--theta-grid", "0:4:5"], "[0, pi]"),
+        (["fit", *BASE, "--target", "2.5", "--tolerance", "0"], "tolerance"),
+        (["smax", *BASE, "--theta-step", "0"], "theta_step"),
+        (["smax", *BASE, "--theta-step", "nan"], "theta_step"),
+    ], ids=["sweep-grid", "oracle-grid", "fit-tolerance", "smax-step-0", "smax-step-nan"])
+    def test_out_of_range_option_is_usage_error(self, capsys, argv, named):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("usage error:") and named in err
+
     def test_missing_analyze_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "analyze", "--file-a", str(tmp_path / "none.csv"),

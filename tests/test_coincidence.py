@@ -9,9 +9,7 @@ from eprbsim import (
     CoincidenceCounts,
     Setting,
     SimParams,
-    StationEvent,
-    TrialRecord,
-    coincide,
+    TrialBlock,
     estimate,
     estimate_block,
     match_streams,
@@ -19,17 +17,22 @@ from eprbsim import (
     tally,
     tally_blocks,
 )
-from eprbsim.coincidence import jackknife_stderr_e, merge_counts
+from eprbsim.coincidence import block_cells, jackknife_stderr_e, merge_counts
 from eprbsim.ttag_io import EventStream
 
+from . import reference
 
-def records(rows):
-    """Build TrialRecords from (x1, k1, x2, k2) rows."""
-    return [
-        TrialRecord(index=i, hidden=None,
-                    ev1=StationEvent(x1, k1), ev2=StationEvent(x2, k2))
-        for i, (x1, k1, x2, k2) in enumerate(rows)
-    ]
+
+def block(rows):
+    """A :class:`TrialBlock` of ``(x1, k1, x2, k2)`` rows."""
+    x1, k1, x2, k2 = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return TrialBlock(None, x1.astype(np.int8), k1.copy(), x2.astype(np.int8), k2.copy())
+
+
+def coincide(k1, k2, w_bins):
+    """Whether ``block_cells`` counts a trial with tag bins ``k1`` and ``k2``."""
+    cells = block_cells(np.zeros(1, np.int64), np.array([abs(k1 - k2)]), w_bins, 1)
+    return int(cells.sum()) == 1
 
 
 class TestCoincide:
@@ -45,7 +48,9 @@ class TestCoincide:
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
-            coincide(0, 0, 0)
+            tally(block([(1, 0, 1, 0)]), 0)
+        with pytest.raises(ValueError):
+            tally_blocks(block([(1, 0, 1, 0)]), 0)
 
     @given(k1=st.integers(0, 10**6), k2=st.integers(0, 10**6),
            w=st.integers(1, 10**6))
@@ -61,26 +66,25 @@ class TestCoincide:
 class TestTally:
     def test_equal_settings_all_anticorrelated(self):
         rows = [(1, 3, -1, 3), (-1, 7, 1, 7), (1, 0, -1, 0)]
-        c = tally(records(rows), 1)
+        c = tally(block(rows), 1)
         assert c.n_pm + c.n_mp == c.n_total == 3
         assert c.n_pp == c.n_mm == 0
 
     def test_empty_coincident_subset(self):
         rows = [(1, 0, 1, 5), (-1, 9, 1, 2)]
-        c = tally(records(rows), 1)
+        c = tally(block(rows), 1)
         assert (c.n_pp, c.n_pm, c.n_mp, c.n_mm) == (0, 0, 0, 0)
         assert c.n_total == 2
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            tally([], 1)
+            tally(block([]), 1)
 
     def test_block_path_equals_record_path(self):
         p = SimParams(w_bins=3, t0_ratio=50.0, d=3.0, n_trials=4000, seed=13)
         blk = run_pairs(Setting.from_polar(0), Setting.from_polar(1.1), p)
-        fast = tally(blk, 3)
-        slow = tally(list(blk), 3)
-        assert fast == slow
+        rows = zip(blk.x1.tolist(), blk.k1.tolist(), blk.x2.tolist(), blk.k2.tolist())
+        assert tally(blk, 3) == reference.tally(rows, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(
@@ -90,11 +94,12 @@ class TestTally:
         st.integers(1, 14), st.integers(0, 59))
     def test_merge_is_concatenation(self, rows, w, cut):
         cut = min(cut, len(rows) - 1)
-        whole = tally(records(rows), w)
+        whole = tally(block(rows), w)
+        assert whole == reference.tally(rows, w)
         if cut == 0:
             return
-        left = tally(records(rows[:cut]), w)
-        right = tally(records(rows[cut:]), w)
+        left = tally(block(rows[:cut]), w)
+        right = tally(block(rows[cut:]), w)
         assert left.merge(right) == whole
 
     def test_tally_blocks_merge_to_tally(self):

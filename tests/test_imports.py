@@ -1,8 +1,9 @@
 """Every name a module imports is read somewhere in that module.
 
 No linter is installed, so this stays stdlib-only: each module under
-``src/eprbsim`` except the package ``__init__`` (which imports to re-export)
-is parsed with ``ast``, and any imported name never loaded is reported.
+``src/eprbsim`` except the package ``__init__`` (which imports to re-export),
+``tests`` and ``scripts`` is parsed with ``ast``, and any imported name never
+loaded is reported.
 """
 
 import ast
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "eprbsim"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for pattern in ("src/eprbsim/*.py", "tests/*.py", "scripts/*.py")
+                 for p in ROOT.glob(pattern) if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:

@@ -1,12 +1,12 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from eprbsim import (
-    SearchSpec,
     SimParams,
     check_violations,
     lg_bound,
@@ -15,6 +15,7 @@ from eprbsim import (
     s_value,
     smax_quantum,
 )
+from eprbsim import pipeline
 from eprbsim.inequalities import _fold
 from eprbsim.pipeline import ThetaEngine
 
@@ -84,7 +85,7 @@ class TestCheckViolations:
             check_violations(4.5, 1.0)
 
 
-FAST = SearchSpec(theta_step=math.pi / 24)
+FAST = math.pi / 24  # theta_step of a quick search
 
 
 class TestMaximizeS:
@@ -97,13 +98,13 @@ class TestMaximizeS:
         assert 0.0 < rep.gamma_inf <= 1.0
         assert rep.stderr_s and rep.stderr_s > 0
         assert 0.0 <= rep.gamma_argmin <= math.pi
-        for setting in (rep.quad.a, rep.quad.b, rep.quad.c, rep.quad.d):
-            assert abs(float(setting.vec @ setting.vec) - 1.0) < 1e-12
+        assert len(rep.quad_angles) == 4
+        assert all(0.0 <= t < 2 * math.pi for t in rep.quad_angles)
 
     def test_degenerate_grid_rejected(self):
         p = SimParams(w_bins=1, t0_ratio=100.0, d=3.0, n_trials=1000, seed=1)
         with pytest.raises(ValueError):
-            maximize_S(p, SearchSpec(theta_step=math.pi / 3))
+            maximize_S(p, theta_step=math.pi / 3)
 
     def test_interpolated_value_respects_curve_bound(self):
         # combination from any curve bounded by 1 stays within 4
@@ -131,8 +132,7 @@ class TestHeldOutLegs:
     def _legs(self, rep):
         a, b, c, d = rep.quad_angles
         n = self.P.n_trials
-        return [ThetaEngine(self.P, first_trial=(i + 1) * n).estimate_at(
-                    float(_fold(delta)), n_blocks=FAST.n_blocks)
+        return [ThetaEngine(self.P, first_trial=(i + 1) * n).estimate_at(float(_fold(delta)))
                 for i, delta in enumerate((a - c, a - d, b - c, b - d))]
 
     def test_s_is_held_out_combination(self):
@@ -152,7 +152,8 @@ class TestHeldOutLegs:
     def test_offset_engine_chunked_matches_cached(self):
         n = self.P.n_trials
         cached = ThetaEngine(self.P, first_trial=2 * n)
-        chunked = ThetaEngine(self.P, cache_limit=0, first_trial=2 * n)
+        with mock.patch.object(pipeline, "_CACHE_LIMIT", 0):
+            chunked = ThetaEngine(self.P, first_trial=2 * n)
         assert chunked.block_counts_at(1.0) == cached.block_counts_at(1.0)
         assert cached.block_counts_at(1.0) != ThetaEngine(self.P).block_counts_at(1.0)
 

@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprbsim import (
-    Setting,
-    SimParams,
-    TrialStream,
-    run_pairs,
-    sample_hidden,
-    station,
-)
+from eprbsim import Setting, SimParams, run_pairs, uniform_block
+from eprbsim.model import DRAWS_PER_TRIAL, _hidden_arrays
+
+from . import reference
 
 
 def rotation(ax_deg=25.0, az_deg=40.0) -> np.ndarray:
@@ -36,6 +32,8 @@ class TestSimParams:
             SimParams(w_bins=1, t0_ratio=1000, d=3, n_trials=0)
         with pytest.raises(ValueError):
             SimParams(w_bins=1, t0_ratio=1000, d=3, n_trials=10, seed=2**64)
+        with pytest.raises(ValueError):
+            SimParams(w_bins=1, t0_ratio=1000, d=3, n_trials=10, seed=1.5)
 
     def test_max_tag(self):
         assert SimParams(1, 1000.0, 3, 1).max_tag == 1000
@@ -55,7 +53,7 @@ class TestSetting:
     def test_from_polar(self):
         s = Setting.from_polar(math.pi / 2)
         assert abs(s.vec[0] - 1.0) < 1e-15
-        assert abs(s.angle_to(Setting.from_polar(0.0)) - math.pi / 2) < 1e-12
+        assert abs(math.acos(s.dot(Setting.from_polar(0.0))) - math.pi / 2) < 1e-12
 
     def test_vector_is_frozen(self):
         s = Setting.from_polar(1.0)
@@ -65,12 +63,16 @@ class TestSetting:
 
 class TestSampleHidden:
     def test_consumes_four_draws(self):
-        stream = TrialStream(3, 0)
-        sample_hidden(stream)
-        assert stream._pos == 4
+        # s_z, azimuth, lambda1, lambda2: draws 0..3 of each trial, in this order
+        u = uniform_block(3, 0, 50, DRAWS_PER_TRIAL)
+        sx, sy, sz, lam1, lam2 = _hidden_arrays(3, 0, 50)
+        assert DRAWS_PER_TRIAL == 4
+        assert sz.tobytes() == (2.0 * u[0] - 1.0).tobytes()
+        assert np.allclose(np.arctan2(sy, sx) % (2 * math.pi), 2 * math.pi * u[1])
+        assert lam1.tobytes() == u[2].tobytes() and lam2.tobytes() == u[3].tobytes()
 
     def test_moments(self):
-        # one big block via the bulk path, same draws as sample_hidden
+        # one big block of hidden variables
         p = SimParams(w_bins=1, t0_ratio=10.0, d=3.0, n_trials=10**6, seed=20)
         blk = run_pairs(Setting.from_polar(0), Setting.from_polar(1.0), p,
                         keep_hidden=True)
@@ -84,39 +86,31 @@ class TestSampleHidden:
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
     def test_matches_bulk_path(self):
-        hp = sample_hidden(TrialStream(42, 17))
+        s, lam1, lam2 = reference.hidden(42, 17)
         p = SimParams(w_bins=1, t0_ratio=10.0, d=3.0, n_trials=18, seed=42)
         blk = run_pairs(Setting.from_polar(0), Setting.from_polar(1.0), p,
                         keep_hidden=True)
-        rec = blk[17]
-        assert rec.hidden == hp
+        assert [float(v[17]) for v in blk.hidden] == [*s, lam1, lam2]
 
 
 class TestStation:
     @pytest.mark.parametrize("d", [0.5, 1.0, 3.0, 5.0])
     def test_aligned_spin_zero_delay(self, d):
         p = SimParams(w_bins=1, t0_ratio=1000.0, d=d, n_trials=1)
-        ev = station(Setting.from_polar(0.3), Setting.from_polar(0.3).vec, 0.77, p)
-        assert ev.x == 1 and ev.k == 0
+        a = Setting.from_polar(0.3)
+        x, k = reference.station(a, a.vec, 0.77, p)
+        assert x == 1 and k == 0
 
     def test_perpendicular_full_reach(self):
         p = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=1)
-        ev = station(Setting.from_polar(0.0), (1.0, 0.0, 0.0), 0.5, p)
-        assert ev.x == 1  # sign(0) convention
-        assert ev.k == 500
+        x, k = reference.station(Setting.from_polar(0.0), (1.0, 0.0, 0.0), 0.5, p)
+        assert x == 1  # sign(0) convention
+        assert k == 500
 
     def test_exponent_zero_angle_independent(self):
         p = SimParams(w_bins=1, t0_ratio=1000.0, d=0.0, n_trials=1)
         for s in [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.6, 0.0, 0.8)]:
-            ev = station(Setting.from_polar(0.0), s, 0.999, p)
-            assert ev.k == 999
-
-    def test_rejects_bad_inputs(self):
-        p = SimParams(w_bins=1, t0_ratio=10.0, d=3.0, n_trials=1)
-        with pytest.raises(ValueError):
-            station(Setting.from_polar(0), (1.0, 1.0, 1.0), 0.5, p)
-        with pytest.raises(ValueError):
-            station(Setting.from_polar(0), (0.0, 0.0, 1.0), 1.0, p)
+            assert reference.station(Setting.from_polar(0.0), s, 0.999, p)[1] == 999
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -131,9 +125,9 @@ class TestStation:
         s = (math.sin(theta_s) * math.cos(phi_s),
              math.sin(theta_s) * math.sin(phi_s),
              math.cos(theta_s))
-        ev = station(Setting.from_polar(1.0), s, lam, p)
-        assert 0 <= ev.k <= p.max_tag
-        assert ev.x in (-1, 1)
+        x, k = reference.station(Setting.from_polar(1.0), s, lam, p)
+        assert 0 <= k <= p.max_tag
+        assert x in (-1, 1)
 
 
 class TestRunPairs:
@@ -173,29 +167,16 @@ class TestRunPairs:
         a1, a2 = Setting.from_polar(0.3), Setting.from_polar(1.9)
         blk = run_pairs(a1, a2, p, keep_hidden=True)
         for i in range(0, 300, 29):
-            stream = TrialStream(p.seed, i)
-            hp = sample_hidden(stream)
-            ev1 = station(a1, hp.s, hp.lambda1, p)
-            ev2 = station(a2, tuple(-c for c in hp.s), hp.lambda2, p)
-            rec = blk[i]
-            assert (ev1, ev2) == (rec.ev1, rec.ev2)
-
-    def test_sequence_protocol(self):
-        p = SimParams(w_bins=1, t0_ratio=10.0, d=3.0, n_trials=25, seed=2)
-        blk = run_pairs(Setting.from_polar(0), Setting.from_polar(1), p)
-        assert len(blk) == 25
-        records = list(blk)
-        assert [r.index for r in records] == list(range(25))
-        assert records[3].hidden is None
-        assert records[3].ev1.x == blk.x1[3]
-        with pytest.raises(IndexError):
-            blk[25]
+            s, lam1, lam2 = reference.hidden(p.seed, i)
+            ev1 = reference.station(a1, s, lam1, p)
+            ev2 = reference.station(a2, tuple(-c for c in s), lam2, p)
+            assert (ev1, ev2) == ((blk.x1[i], blk.k1[i]), (blk.x2[i], blk.k2[i]))
 
     def test_hidden_retained_only_in_debug(self):
         p = SimParams(w_bins=1, t0_ratio=10.0, d=3.0, n_trials=5, seed=2)
         a = Setting.from_polar(0.5)
         assert run_pairs(a, a, p).hidden is None
-        assert run_pairs(a, a, p, keep_hidden=True)[0].hidden is not None
+        assert run_pairs(a, a, p, keep_hidden=True).hidden is not None
 
     def test_rotational_invariance_statistical(self):
         # same relative angle, globally rotated frame: estimates agree to 3 sigma

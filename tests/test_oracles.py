@@ -1,19 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from eprbsim import (
-    QuadratureError,
     Setting,
     SimParams,
     gamma_limit,
-    limit_curve,
     quantum_E,
     raw_sign_E,
     s_value,
     smax_quantum,
 )
+from eprbsim import pipeline
 from eprbsim.pipeline import ThetaEngine
 
 SQRT2 = math.sqrt(2.0)
@@ -84,12 +84,6 @@ class TestGammaLimit:
         with pytest.raises(ValueError):
             gamma_limit(0.5, -1.0)
 
-    def test_limit_curve_marks_divergences(self):
-        curve = limit_curve([0.0, math.pi / 2, math.pi], 3.0)
-        assert curve.diverges_at == (0.0, math.pi)
-        assert curve.values[0] == math.inf and curve.values[2] == math.inf
-        assert math.isfinite(curve.values[1])
-
 
 class TestSmaxQuantum:
     def test_value(self):
@@ -135,7 +129,8 @@ class TestSimulatorAgainstOracles:
         errs = []
         for t0, n in ((100.0, 2 * 10**5), (1000.0, 2 * 10**6), (10000.0, 2 * 10**7)):
             p = SimParams(w_bins=1, t0_ratio=t0, d=3.0, n_trials=n, seed=4)
-            engine = ThetaEngine(p, cache_limit=2 * 10**7)
+            with mock.patch.object(pipeline, "_CACHE_LIMIT", 2 * 10**7):
+                engine = ThetaEngine(p)
             scaled = np.array([engine.estimate_at(t, n_blocks=1).gamma * t0
                                for t in grid])
             errs.append(float(np.mean(np.abs(scaled - limits))))

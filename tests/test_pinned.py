@@ -23,7 +23,6 @@ from eprbsim import (
     Setting,
     SimParams,
     ThetaEngine,
-    TrialStream,
     export_station_streams,
     match_streams,
     run_pairs,
@@ -35,6 +34,8 @@ from eprbsim import (
 from eprbsim import pipeline
 from eprbsim.cli import main
 from eprbsim.ttag_io import read_manifest
+
+from . import reference
 
 
 def _sha(*arrays) -> str:
@@ -53,8 +54,7 @@ class TestPinnedBytes:
             "f3bf4ec72b0fda12f05432c144fe15d5db7f7969d7c9eb12857ee19f0cb7ac5c")
 
     def test_trial_stream(self):
-        s = TrialStream(5, 1234)
-        u = np.concatenate([s.uniforms(3), s.uniforms(5)])
+        u = np.array(reference.uniforms(5, 1234, 8))
         assert _sha(u) == (
             "a2e447eab43881b8d3b756656be5c5b921423785e02742b4ce75da842581dd88")
 
@@ -162,8 +162,9 @@ class TestEngineMatchesReferenceTally:
         cached = ThetaEngine(p).block_counts_at(theta, windows, n_blocks)
         # a chunk size that is no multiple of the block size puts chunk
         # boundaries inside jackknife blocks
-        with mock.patch.object(pipeline, "_CHUNK", chunk):
-            chunked = ThetaEngine(p, cache_limit=0).block_counts_at(theta, windows, n_blocks)
+        with mock.patch.object(pipeline, "_CHUNK", chunk), \
+                mock.patch.object(pipeline, "_CACHE_LIMIT", 0):
+            chunked = ThetaEngine(p).block_counts_at(theta, windows, n_blocks)
         assert cached == expected
         assert chunked == expected
 

@@ -2,41 +2,43 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from eprbsim.rng import TrialStream, raw_uint64, uniform_block
+from eprbsim.rng import uniform_block
+
+from . import reference
 
 
 def test_same_stream_is_bit_identical():
-    a = TrialStream(1, 0).uniforms(1000)
-    b = TrialStream(1, 0).uniforms(1000)
+    a = uniform_block(1, 0, 1, 1000)
+    b = uniform_block(1, 0, 1, 1000)
     assert a.tobytes() == b.tobytes()
 
 
 def test_distinct_trials_differ():
-    a = TrialStream(1, 0).uniforms(1000)
-    b = TrialStream(1, 1).uniforms(1000)
+    a, b = uniform_block(1, 0, 2, 1000).T
     assert a.tobytes() != b.tobytes()
-    assert not np.any(a == b[: len(a)])  # avalanche: no aligned collisions
+    assert not np.any(a == b)  # avalanche: no aligned collisions
 
 
 def test_distinct_seeds_differ():
-    a = TrialStream(1, 0).uniforms(100)
-    b = TrialStream(2, 0).uniforms(100)
+    a = uniform_block(1, 0, 1, 100)
+    b = uniform_block(2, 0, 1, 100)
     assert not np.allclose(a, b)
 
 
 def test_incremental_reads_match_bulk():
-    s = TrialStream(99, 7)
-    parts = np.concatenate([s.uniforms(3), s.uniforms(5), s.uniforms(2)])
-    bulk = TrialStream(99, 7).uniforms(10)
+    # any split of the trials, and any prefix of the draws, reads the same values
+    bulk = uniform_block(99, 0, 10, 10)
+    parts = np.concatenate([uniform_block(99, lo, hi, 10)
+                            for lo, hi in ((0, 3), (3, 8), (8, 10))], axis=1)
     assert parts.tobytes() == bulk.tobytes()
+    assert uniform_block(99, 0, 10, 3).tobytes() == bulk[:3].tobytes()
 
 
 def test_uniform_block_matches_streams():
     block = uniform_block(5, 10, 20, 6)
     assert block.shape == (6, 10)
     for offset, trial in enumerate(range(10, 20)):
-        col = TrialStream(5, trial).uniforms(6)
-        assert block[:, offset].tobytes() == col.tobytes()
+        assert block[:, offset].tolist() == reference.uniforms(5, trial, 6)
 
 
 def test_values_in_unit_interval():
@@ -54,21 +56,6 @@ def test_uniformity_chi_square():
     assert p > 0.001
 
 
-def test_raw_uint64_broadcasts():
-    trials = np.arange(4, dtype=np.uint64)
-    draws = np.arange(3, dtype=np.uint64)
-    grid = raw_uint64(9, trials[None, :], draws[:, None])
-    assert grid.shape == (3, 4)
-    assert grid.dtype == np.uint64
-    assert len(np.unique(grid)) == grid.size
-
-
 def test_invalid_arguments_rejected():
-    with pytest.raises(ValueError):
-        TrialStream(-1, 0)
-    with pytest.raises(ValueError):
-        TrialStream(2**64, 0)
-    with pytest.raises(ValueError):
-        TrialStream(1, -1)
     with pytest.raises(ValueError):
         uniform_block(1, 10, 5, 4)

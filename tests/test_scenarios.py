@@ -6,7 +6,6 @@ import pytest
 
 from eprbsim import (
     FitError,
-    SearchSpec,
     SimParams,
     UsageError,
     cosine_fit_max_z,
@@ -15,7 +14,7 @@ from eprbsim import (
     sweep_theta,
 )
 from eprbsim import scenarios
-from eprbsim.inequalities import SettingsQuad, SReport, ViolationFlags
+from eprbsim.inequalities import SReport, ViolationFlags
 from eprbsim.scenarios import FIGURE_GRID
 from eprbsim.ttag_io import read_manifest, verify_manifest
 
@@ -80,19 +79,19 @@ class TestSingletCalibrationCurve:
 _FIG2_SEED = 16
 
 
-FAST = SearchSpec(theta_step=math.pi / 24)
+FAST = math.pi / 24  # theta_step of a quick search
 
 
 class TestFitWindow:
     def test_deterministic(self):
         p = SimParams(w_bins=1, t0_ratio=50.0, d=3.0, n_trials=10**5, seed=10)
-        a = fit_window(2.3, p, tolerance=0.05, search=FAST)
-        b = fit_window(2.3, p, tolerance=0.05, search=FAST)
+        a = fit_window(2.3, p, tolerance=0.05, theta_step=FAST)
+        b = fit_window(2.3, p, tolerance=0.05, theta_step=FAST)
         assert a == b
 
     def test_trace_is_monotone_non_increasing(self):
         p = SimParams(w_bins=1, t0_ratio=50.0, d=3.0, n_trials=10**5, seed=10)
-        fit = fit_window(2.3, p, tolerance=0.05, search=FAST)
+        fit = fit_window(2.3, p, tolerance=0.05, theta_step=FAST)
         ws = [w for w, _ in fit.trace]
         ss = [s for _, s in fit.trace]
         assert ws == sorted(ws)
@@ -102,12 +101,12 @@ class TestFitWindow:
     def test_target_above_achievable(self):
         p = SimParams(w_bins=1, t0_ratio=50.0, d=3.0, n_trials=10**4, seed=10)
         with pytest.raises(FitError, match="above achievable"):
-            fit_window(3.9, p, search=FAST)
+            fit_window(3.9, p, theta_step=FAST)
 
     def test_target_below_achievable(self):
         p = SimParams(w_bins=1, t0_ratio=50.0, d=3.0, n_trials=10**4, seed=10)
         with pytest.raises(FitError, match="below achievable"):
-            fit_window(1.2, p, search=FAST)
+            fit_window(1.2, p, theta_step=FAST)
 
     def test_bad_tolerance(self):
         p = SimParams(w_bins=1, t0_ratio=50.0, d=3.0, n_trials=100, seed=1)
@@ -117,10 +116,9 @@ class TestFitWindow:
 
 def _scripted_search(monkeypatch, table, default):
     """Replace ``maximize_S`` by a lookup of ``(s, stderr_s)`` per window."""
-    def fake(params, search):
+    def fake(params, theta_step):
         s, se = table.get(params.w_bins) or default(params.w_bins)
-        return SReport(s=s, quad=SettingsQuad.from_angles(0.0, 0.0, 0.0, 0.0),
-                       gamma_inf=0.5, bound_trivial=4.0, bound_chsh=2.0,
+        return SReport(s=s, gamma_inf=0.5, bound_trivial=4.0, bound_chsh=2.0,
                        bound_lg=8.0, flags=ViolationFlags(True, False, False),
                        stderr_s=se)
     monkeypatch.setattr(scenarios, "maximize_S", fake)

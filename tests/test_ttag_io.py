@@ -9,7 +9,6 @@ from eprbsim import (
     EventStream,
     Setting,
     SimParams,
-    TimeTagRecord,
     TtagFormatError,
     export_station_streams,
     read_events,
@@ -43,7 +42,7 @@ def event_streams(draw):
 class TestEventStream:
     def test_record_access(self):
         s = EventStream([1, 5], [0, 1], [1, -1])
-        assert s[1] == TimeTagRecord(5, 1, -1)
+        assert (s.k[1], s.setting_index[1], s.x[1]) == (5, 1, -1)
         assert len(s) == 2
 
     def test_validation(self):
