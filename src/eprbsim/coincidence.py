@@ -9,7 +9,6 @@ coincidence frequency ``gamma`` is normalized by all trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -39,19 +38,15 @@ class CoincidenceCounts:
         if self.n_coinc > self.n_total:
             raise ValueError("coincident counts exceed n_total")
 
+    @classmethod
+    def from_cells(cls, cells, n_total: int) -> "CoincidenceCounts":
+        """The merged tally of a ``(4,)`` or ``(n_blocks, 4)`` cell-count array."""
+        n_pp, n_pm, n_mp, n_mm = np.reshape(cells, (-1, 4)).sum(axis=0).tolist()
+        return cls(n_pp, n_pm, n_mp, n_mm, n_total=int(n_total))
+
     @property
     def n_coinc(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
-
-    def merge(self, other: "CoincidenceCounts") -> "CoincidenceCounts":
-        """Combine tallies of two disjoint trial blocks."""
-        return CoincidenceCounts(
-            self.n_pp + other.n_pp,
-            self.n_pm + other.n_pm,
-            self.n_mp + other.n_mp,
-            self.n_mm + other.n_mm,
-            self.n_total + other.n_total,
-        )
 
 
 @dataclass(frozen=True)
@@ -91,106 +86,71 @@ def block_cells(codes, dk, w_bins: int, n_blocks: int) -> np.ndarray:
     return np.bincount(codes[dk < w_bins], minlength=4 * n_blocks).reshape(n_blocks, 4)
 
 
-def counts_per_block(cells, edges) -> list[CoincidenceCounts]:
-    """One :class:`CoincidenceCounts` per row of a ``(block, cell)`` table."""
-    return [
-        CoincidenceCounts(int(c[0]), int(c[1]), int(c[2]), int(c[3]), n_total=int(sz))
-        for c, sz in zip(cells, np.diff(edges))
-    ]
-
-
 def tally(trials: TrialBlock, w_bins: int) -> CoincidenceCounts:
-    """Tally outcome pairs over the coincident subset of a trial block.
-
-    Tallies of disjoint blocks merge associatively to the tally of the
-    concatenation.
-    """
+    """Tally outcome pairs over the coincident subset of a trial block."""
     if len(trials) == 0:
         raise ValueError("empty trial block")
-    return tally_blocks(trials, w_bins, n_blocks=1)[0]
+    return CoincidenceCounts.from_cells(tally_blocks(trials, w_bins, n_blocks=1), len(trials))
 
 
 def tally_blocks(trials: TrialBlock, w_bins: int,
-                 n_blocks: int = JACKKNIFE_BLOCKS) -> list[CoincidenceCounts]:
-    """Per-block tallies over ``n_blocks`` contiguous index slices."""
+                 n_blocks: int = JACKKNIFE_BLOCKS) -> np.ndarray:
+    """``(n_blocks, 4)`` cell counts over ``n_blocks`` contiguous index slices."""
     if w_bins < 1:
         raise ValueError("w_bins must be >= 1")
     edges = block_edges(len(trials), n_blocks)
     codes = block_codes(trials.x1, edges) + (trials.x2 < 0)
-    cells = block_cells(codes, np.abs(trials.k1 - trials.k2), w_bins, len(edges) - 1)
-    return counts_per_block(cells, edges)
+    return block_cells(codes, np.abs(trials.k1 - trials.k2), w_bins, len(edges) - 1)
 
 
-def merge_counts(blocks: Iterable[CoincidenceCounts]) -> CoincidenceCounts:
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("nothing to merge")
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = out.merge(b)
-    return out
+def jackknife_stderr_e(cells: np.ndarray) -> float | None:
+    """Delete-one-block jackknife error of ``e`` from ``(n_blocks, 4)`` cell counts.
 
-
-def _point_estimates(c: CoincidenceCounts):
-    nc = c.n_coinc
-    if nc == 0:
-        return None, None, None
-    e = (c.n_pp + c.n_mm - c.n_pm - c.n_mp) / nc
-    e1 = (c.n_pp + c.n_pm - c.n_mp - c.n_mm) / nc
-    e2 = (c.n_pp + c.n_mp - c.n_pm - c.n_mm) / nc
-    return e, e1, e2
-
-
-def jackknife_stderr_e(blocks: Sequence[CoincidenceCounts]) -> float | None:
-    """Delete-one-block jackknife standard error of the correlation ``e``."""
-    total = merge_counts(blocks)
-    if total.n_coinc == 0 or len(blocks) < 2:
+    ``None`` for fewer than two blocks, or when one block holds every coincidence.
+    """
+    rest = cells.sum(axis=0) - cells  # the tally with each block left out
+    n_rest = rest.sum(axis=1)
+    if len(cells) < 2 or not n_rest.all():
         return None
-    loo = []
-    for b in blocks:
-        rest = CoincidenceCounts(
-            total.n_pp - b.n_pp, total.n_pm - b.n_pm,
-            total.n_mp - b.n_mp, total.n_mm - b.n_mm,
-            total.n_total - b.n_total,
-        )
-        e, _, _ = _point_estimates(rest)
-        if e is None:
-            return None  # a block holds every coincidence; jackknife undefined
-        loo.append(e)
-    loo = np.asarray(loo)
+    loo = (rest[:, 0] + rest[:, 3] - rest[:, 1] - rest[:, 2]) / n_rest
     nb = len(loo)
     return float(np.sqrt((nb - 1) / nb * np.sum((loo - loo.mean()) ** 2)))
 
 
-def estimate(counts: CoincidenceCounts,
-             blocks: Sequence[CoincidenceCounts] | None = None) -> CorrelationEstimate:
+def estimate(counts: CoincidenceCounts, blocks: np.ndarray | None = None) -> CorrelationEstimate:
     """Correlation and coincidence-frequency estimates from a tally.
 
-    With ``blocks`` (disjoint sub-tallies merging to ``counts``) the error on
-    ``e`` comes from the delete-one jackknife; without them it falls back to
+    With ``blocks`` (an integer ``(n_blocks, 4)`` array of per-block cell
+    counts summing to ``counts``) the error on ``e`` comes from the
+    delete-one jackknife; without them it falls back to
     ``sqrt((1 - e^2) / n_coinc)``.
     """
     if counts.n_total <= 0:
         raise ValueError("n_total must be positive")
-    e, e1, e2 = _point_estimates(counts)
-    gamma = counts.n_coinc / counts.n_total
-    if e is None:
+    pp, pm, mp, mm = counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm
+    if blocks is not None and not (
+            isinstance(blocks, np.ndarray) and blocks.dtype.kind == "i"
+            and blocks.ndim == 2 and blocks.shape[1] == 4 and (blocks >= 0).all()
+            and blocks.sum(axis=0).tolist() == [pp, pm, mp, mm]):
+        raise ValueError("blocks must be an integer (n_blocks, 4) array summing to counts")
+    nc = counts.n_coinc
+    gamma = nc / counts.n_total
+    if nc == 0:
         return CorrelationEstimate(None, None, None, gamma, None, 0)
+    e = (pp + mm - pm - mp) / nc
+    e1 = (pp + pm - mp - mm) / nc
+    e2 = (pp + mp - pm - mm) / nc
     if blocks is not None:
-        merged = merge_counts(blocks)
-        if (merged.n_pp, merged.n_pm, merged.n_mp, merged.n_mm, merged.n_total) != (
-                counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm, counts.n_total):
-            raise ValueError("blocks do not merge to the given counts")
         stderr = jackknife_stderr_e(blocks)
     else:
-        stderr = float(np.sqrt(max(0.0, 1.0 - e * e) / counts.n_coinc))
-    return CorrelationEstimate(e, e1, e2, gamma, stderr, counts.n_coinc)
+        stderr = float(np.sqrt(max(0.0, 1.0 - e * e) / nc))
+    return CorrelationEstimate(e, e1, e2, gamma, stderr, nc)
 
 
 def estimate_block(trials: TrialBlock, w_bins: int) -> CorrelationEstimate:
     """Tally a block and estimate with jackknife errors in one step."""
     blocks = tally_blocks(trials, w_bins)
-    return estimate(merge_counts(blocks), blocks)
+    return estimate(CoincidenceCounts.from_cells(blocks, len(trials)), blocks)
 
 
 def singles_means(trials: TrialBlock) -> tuple[float, float]:
@@ -259,9 +219,9 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
     n_a, n_b = len(counts_a), len(counts_b)
     codes = 4 * (stream_a.setting_index[pa] * n_b + stream_b.setting_index[pb])
     codes += 2 * (stream_a.x[pa] < 0) + (stream_b.x[pb] < 0)
-    cells = np.bincount(codes, minlength=4 * n_a * n_b).reshape(n_a, n_b, 4).tolist()
+    cells = np.bincount(codes, minlength=4 * n_a * n_b).reshape(n_a, n_b, 4)
     return {
-        (a, b): CoincidenceCounts(*cells[a][b], n_total=min(count_a, count_b))
+        (a, b): CoincidenceCounts.from_cells(cells[a, b], min(count_a, count_b))
         for a, count_a in enumerate(counts_a) if count_a
         for b, count_b in enumerate(counts_b) if count_b
     }

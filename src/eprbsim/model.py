@@ -29,6 +29,14 @@ DRAWS_PER_TRIAL = 4
 _UNIT_TOL = 1e-12
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` equals an integer (False for infinities and NaN)."""
+    try:
+        return int(value) == value
+    except (OverflowError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class SimParams:
     """The four model parameters plus the master seed.
@@ -47,15 +55,15 @@ class SimParams:
     seed: int = 1
 
     def __post_init__(self):
-        if int(self.w_bins) != self.w_bins or self.w_bins < 1:
+        if not _integral(self.w_bins) or self.w_bins < 1:
             raise ValueError(f"w_bins must be an integer >= 1, got {self.w_bins!r}")
         if not (self.t0_ratio > 0 and math.isfinite(self.t0_ratio)):
             raise ValueError(f"t0_ratio must be positive and finite, got {self.t0_ratio!r}")
         if not (self.d >= 0 and math.isfinite(self.d)):
             raise ValueError(f"d must be a finite real >= 0, got {self.d!r}")
-        if int(self.n_trials) != self.n_trials or self.n_trials < 1:
+        if not _integral(self.n_trials) or self.n_trials < 1:
             raise ValueError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+        if not _integral(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property

@@ -13,6 +13,7 @@ colinear; there the coefficient diverges for d >= 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,6 +84,7 @@ def _limit_integrand_factory(theta: float, d: float):
     return inner
 
 
+@functools.lru_cache(maxsize=1024)
 def gamma_limit(theta: float, d: float) -> float:
     """Small-window limit coefficient of the coincidence frequency.
 
@@ -90,7 +92,7 @@ def gamma_limit(theta: float, d: float) -> float:
     ``theta``, i.e. the limit of ``Gamma * T0 / W`` for the same-bin window.
     Returns ``math.inf`` where the coefficient diverges (colinear settings
     with ``d >= 2``).  Raises :class:`QuadratureError` if the adaptive rule
-    does not converge.
+    does not converge.  Values are memoized per ``(theta, d)``.
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi]")

@@ -22,9 +22,7 @@ from .coincidence import (
     block_cells,
     block_codes,
     block_edges,
-    counts_per_block,
     estimate,
-    merge_counts,
 )
 from .model import Setting, SimParams, _hidden_arrays, _station_kernel
 
@@ -75,12 +73,13 @@ class ThetaEngine:
             yield s2, k1, block_codes(x1, edges, first=lo)
 
     def block_counts_at(self, theta: float, w_bins=None,
-                        n_blocks: int = JACKKNIFE_BLOCKS) -> list[CoincidenceCounts]:
-        """Per-block tallies at one angle, for one or many windows.
+                        n_blocks: int = JACKKNIFE_BLOCKS):
+        """Per-block cell counts at one angle, for one or many windows.
 
         ``w_bins`` may be an int, a sequence of ints, or None (the params
-        window).  Returns a list of per-block counts for a single window, or
-        a dict keyed by window, in first-seen order, for a sequence.
+        window).  Returns the ``(n_blocks, 4)`` count array for a single
+        window, or a dict of them keyed by window, in first-seen order, for a
+        sequence.
         """
         windows = self.params.w_bins if w_bins is None else w_bins
         single = np.isscalar(windows)
@@ -100,14 +99,13 @@ class ThetaEngine:
             codes = base + (x2 < 0)
             for w in window_list:
                 cells[w] += block_cells(codes, dk, w, n_blocks)
-        by_window = {w: counts_per_block(cells[w], edges) for w in window_list}
-        return by_window[window_list[0]] if single else by_window
+        return cells[window_list[0]] if single else cells
 
     def estimate_at(self, theta: float, w_bins: int | None = None,
                     n_blocks: int = JACKKNIFE_BLOCKS) -> CorrelationEstimate:
         """Jackknifed correlation estimate at one angle."""
         blocks = self.block_counts_at(theta, w_bins, n_blocks)
-        return estimate(merge_counts(blocks), blocks)
+        return estimate(CoincidenceCounts.from_cells(blocks, self.params.n_trials), blocks)
 
     def gamma_at(self, theta: float, w_bins: int | None = None) -> float:
         """Coincidence frequency at one angle (cheaper than a full estimate)."""

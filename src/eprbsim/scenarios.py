@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .analyze import analyze_streams, report_rows, synthetic_singlet_streams
-from .coincidence import estimate, merge_counts
+from .coincidence import CoincidenceCounts, estimate
 from .errors import FitError, UsageError
 from .inequalities import THETA_STEP, SReport, maximize_S
 from .model import SimParams
@@ -68,7 +68,7 @@ def _window_sweeps(params: SimParams, windows, thetas) -> tuple[SweepResult, ...
     rows: dict[int, list[SweepRow]] = {int(w): [] for w in windows}
     for t in grid:
         for w, blocks in engine.block_counts_at(t, list(rows)).items():
-            est = estimate(merge_counts(blocks), blocks)
+            est = estimate(CoincidenceCounts.from_cells(blocks, params.n_trials), blocks)
             rows[w].append(SweepRow(theta=t, e=est.e, stderr_e=est.stderr_e,
                                     gamma=est.gamma, n_coinc=est.n_coinc))
     return tuple(SweepResult(rows=tuple(r), params=replace(params, w_bins=w))

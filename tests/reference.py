@@ -9,7 +9,8 @@ replays one trial at a time, as the model is stated:
 * the station law, as ``model._station_kernel`` on length-1 arrays (a
   pure-``math`` law may differ from numpy's vectorised ``power`` in the last
   ulp);
-* a tally over ``(x1, k1, x2, k2)`` rows.
+* a tally over ``(x1, k1, x2, k2)`` rows;
+* the delete-one-block jackknife, one block at a time in Python integers.
 """
 
 import math
@@ -63,3 +64,20 @@ def tally(rows, w_bins: int) -> CoincidenceCounts:
         if abs(k1 - k2) < w_bins:
             cells[2 * (x1 < 0) + (x2 < 0)] += 1
     return CoincidenceCounts(*cells, n_total=n_total)
+
+
+def jackknife_stderr_e(cells) -> float | None:
+    """Jackknife error of ``e`` from per-block ``(n_pp, n_pm, n_mp, n_mm)`` rows."""
+    rows = [[int(v) for v in row] for row in cells]
+    total = [sum(col) for col in zip(*rows)]
+    if len(rows) < 2 or sum(total) == 0:
+        return None
+    loo = []
+    for row in rows:
+        pp, pm, mp, mm = (t - r for t, r in zip(total, row))
+        if pp + pm + mp + mm == 0:
+            return None  # a block holds every coincidence
+        loo.append((pp + mm - pm - mp) / (pp + pm + mp + mm))
+    loo = np.asarray(loo)
+    nb = len(loo)
+    return float(np.sqrt((nb - 1) / nb * np.sum((loo - loo.mean()) ** 2)))

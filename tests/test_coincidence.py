@@ -17,7 +17,7 @@ from eprbsim import (
     tally,
     tally_blocks,
 )
-from eprbsim.coincidence import block_cells, jackknife_stderr_e, merge_counts
+from eprbsim.coincidence import block_cells, jackknife_stderr_e
 from eprbsim.ttag_io import EventStream
 
 from . import reference
@@ -98,16 +98,16 @@ class TestTally:
         assert whole == reference.tally(rows, w)
         if cut == 0:
             return
-        left = tally(block(rows[:cut]), w)
-        right = tally(block(rows[cut:]), w)
-        assert left.merge(right) == whole
+        left = tally_blocks(block(rows[:cut]), w, 1)
+        right = tally_blocks(block(rows[cut:]), w, 1)
+        assert CoincidenceCounts.from_cells(left + right, len(rows)) == whole
 
     def test_tally_blocks_merge_to_tally(self):
         p = SimParams(w_bins=5, t0_ratio=100.0, d=3.0, n_trials=5000, seed=3)
         blk = run_pairs(Setting.from_polar(0), Setting.from_polar(2.0), p)
         blocks = tally_blocks(blk, 5, n_blocks=100)
-        assert len(blocks) == 100
-        assert merge_counts(blocks) == tally(blk, 5)
+        assert blocks.shape == (100, 4)
+        assert CoincidenceCounts.from_cells(blocks, len(blk)) == tally(blk, 5)
 
     def test_counts_invariant_validated(self):
         with pytest.raises(ValueError):
@@ -162,7 +162,7 @@ class TestEstimate:
         p = SimParams(w_bins=16, t0_ratio=1000.0, d=3.0, n_trials=10**5, seed=21)
         blk = run_pairs(Setting.from_polar(0), Setting.from_polar(1.8), p)
         blocks = tally_blocks(blk, 16, 100)
-        total = merge_counts(blocks)
+        total = CoincidenceCounts.from_cells(blocks, len(blk))
         jack = jackknife_stderr_e(blocks)
         est = estimate(total)
         assert jack is not None
@@ -176,6 +176,19 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(wrong, blocks)
 
+    @pytest.mark.parametrize("blocks", [
+        [[1, 0, 0, 0], [0, 1, 0, 0]],  # a list, not an array
+        np.array([[1.0, 0, 0, 0], [0, 1, 0, 0]]),  # not integer
+        np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint64),  # e's numerator would wrap
+        np.array([1, 1, 0, 0]),  # not one row per block
+        np.array([[1, 1], [0, 0]]),  # not four cells
+        np.array([[2, 0, 0, 0], [-1, 1, 0, 0]]),  # a negative count
+        np.array([[1, 0, 0, 0], [0, 0, 0, 1]]),  # sums to other counts
+    ], ids=["list", "float", "unsigned", "1d", "two-cells", "negative", "sum"])
+    def test_blocks_must_be_an_integer_cell_table(self, blocks):
+        with pytest.raises(ValueError, match="blocks"):
+            estimate(CoincidenceCounts(1, 1, 0, 0, n_total=10), blocks)
+
     def test_estimate_block_convenience(self):
         p = SimParams(w_bins=8, t0_ratio=500.0, d=3.0, n_trials=50000, seed=4)
         blk = run_pairs(Setting.from_polar(0), Setting.from_polar(2.5), p)
@@ -183,6 +196,24 @@ class TestEstimate:
         assert est.stderr_e is not None and est.stderr_e > 0
         assert -1 <= est.e <= 1
         assert est.gamma == estimate(tally(blk, 8)).gamma
+
+
+class TestJackknife:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
+                    min_size=1, max_size=120))
+    def test_matches_scalar_oracle(self, rows):
+        cells = np.array(rows, dtype=np.int64)
+        assert jackknife_stderr_e(cells) == reference.jackknife_stderr_e(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[3, 1, 0, 2]],  # one block
+        [[0, 0, 0, 0], [3, 1, 0, 2], [0, 0, 0, 0]],  # one block holds every coincidence
+        [[0, 0, 0, 0]] * 5,  # no coincidence
+    ], ids=["one-block", "one-block-holds-all", "no-coincidence"])
+    def test_undefined_cases(self, rows):
+        assert reference.jackknife_stderr_e(rows) is None
+        assert jackknife_stderr_e(np.array(rows, dtype=np.int64)) is None
 
 
 class TestMatchStreams:

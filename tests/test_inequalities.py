@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -147,15 +148,16 @@ class TestHeldOutLegs:
         default = ThetaEngine(self.P)
         offset = ThetaEngine(self.P, first_trial=0)
         for theta in (0.3, math.pi / 2, 2.5):
-            assert offset.block_counts_at(theta) == default.block_counts_at(theta)
+            assert np.array_equal(offset.block_counts_at(theta), default.block_counts_at(theta))
 
     def test_offset_engine_chunked_matches_cached(self):
         n = self.P.n_trials
         cached = ThetaEngine(self.P, first_trial=2 * n)
         with mock.patch.object(pipeline, "_CACHE_LIMIT", 0):
             chunked = ThetaEngine(self.P, first_trial=2 * n)
-        assert chunked.block_counts_at(1.0) == cached.block_counts_at(1.0)
-        assert cached.block_counts_at(1.0) != ThetaEngine(self.P).block_counts_at(1.0)
+        assert np.array_equal(chunked.block_counts_at(1.0), cached.block_counts_at(1.0))
+        assert not np.array_equal(cached.block_counts_at(1.0),
+                                  ThetaEngine(self.P).block_counts_at(1.0))
 
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,13 @@ class TestSimParams:
         with pytest.raises(ValueError):
             SimParams(w_bins=1, t0_ratio=1000, d=3, n_trials=10, seed=1.5)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+    @pytest.mark.parametrize("field", ["w_bins", "n_trials", "seed"])
+    def test_rejects_non_finite_integers(self, field, value):
+        fields = dict(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=10, seed=1)
+        with pytest.raises(ValueError, match=field):
+            SimParams(**{**fields, field: value})
+
     def test_max_tag(self):
         assert SimParams(1, 1000.0, 3, 1).max_tag == 1000
         assert SimParams(1, 1.025, 3, 1).max_tag == 2

@@ -60,6 +60,12 @@ class TestGammaLimit:
         assert abs(v - 4 / math.pi) < 1e-3
         assert abs(v - 4 / math.pi) < 1e-6  # quadrature is far tighter than required
 
+    @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 3, math.pi / 2],
+                             ids=["pi/6", "pi/3", "pi/2"])
+    def test_closed_form_at_cubic_exponent(self, theta):
+        # for d = 3 the sphere average is 4 / (pi sin theta)
+        assert abs(gamma_limit(theta, 3.0) - 4 / (math.pi * math.sin(theta))) < 1e-8
+
     def test_divergence_at_colinear_settings(self):
         assert gamma_limit(0.0, 3.0) == math.inf
         assert gamma_limit(math.pi, 3.0) == math.inf
