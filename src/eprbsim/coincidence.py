@@ -73,9 +73,9 @@ def block_edges(n: int, n_blocks: int) -> np.ndarray:
     return np.linspace(0, n, min(n_blocks, n) + 1).astype(np.int64)
 
 
-def block_codes(x1: np.ndarray, edges: np.ndarray, first: int = 0) -> np.ndarray:
-    """Base codes ``4 * block + 2 * [x1 < 0]`` of trials ``first, ...`` (add ``x2 < 0``)."""
-    spans = np.diff(np.clip(edges, first, first + len(x1)))
+def block_codes(x1: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Base codes ``4 * block + 2 * [x1 < 0]`` of the trials (add ``x2 < 0``)."""
+    spans = np.diff(edges)
     codes = np.repeat(np.arange(0, 4 * len(spans), 4, dtype=np.int64), spans)
     codes += 2 * (x1 < 0)
     return codes

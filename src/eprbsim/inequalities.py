@@ -205,6 +205,19 @@ def _gamma_infimum(engine: ThetaEngine, thetas, gammas, w_bins: int) -> GammaInf
     return GammaInfimum(gamma=best_g, theta=best_t)
 
 
+#: The last selection engine, keyed by its ensemble ``(seed, t0_ratio, d, n_trials)``.
+_selection: dict[tuple, ThetaEngine] = {}
+
+
+def _selection_engine(params: SimParams) -> ThetaEngine:
+    """The selection engine of ``params``' ensemble, shared by every window."""
+    key = (params.seed, params.t0_ratio, params.d, params.n_trials)
+    if key not in _selection:
+        _selection.clear()  # free the old ensemble before building the new one
+        _selection[key] = ThetaEngine(params)
+    return _selection[key]
+
+
 def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
     """Search planar settings for the maximal combination at one seed.
 
@@ -217,10 +230,19 @@ def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
     ``N`` trials, disjoint from the selection ensemble ``0 .. N-1``.  The
     coincidence infimum over the selection grid is reported alongside the
     trivial, CHSH-form and post-selection bounds.
+
+    The selection ensemble does not depend on the window, so calls that
+    differ only in ``params.w_bins`` share it, with its per-angle tallies:
+    a repeated grid or refinement angle is read off the kept tally at the
+    new window.  At most one selection ensemble stays alive after a call;
+    it is freed when a call with another seed, ``t0_ratio``, ``d`` or
+    ``n_trials`` arrives.  The four held-out legs are built and dropped one
+    at a time on every call.
     """
     thetas = _theta_grid(theta_step)
-    engine = ThetaEngine(params)
-    ests = [engine.estimate_at(float(t)) for t in thetas]
+    w = params.w_bins
+    engine = _selection_engine(params)
+    ests = [engine.estimate_at(float(t), w, n_blocks=1) for t in thetas]
     e_vals = np.array([est.e if est.e is not None else 0.0 for est in ests])
     undefined = [i for i, est in enumerate(ests) if est.e is None]
     if undefined:
@@ -239,7 +261,7 @@ def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
     s = s_value(*(leg.e for leg in legs))
     stderr_s = math.sqrt(sum((leg.stderr_e or 0.0) ** 2 for leg in legs))
 
-    inf = _gamma_infimum(engine, thetas, gammas, params.w_bins)
+    inf = _gamma_infimum(engine, thetas, gammas, w)
     return SReport(
         s=s,
         gamma_inf=inf.gamma,
@@ -267,5 +289,5 @@ def min_gamma(params: SimParams, thetas=None) -> GammaInfimum:
         if len(grid) < 2 or grid[0] > 1e-9 or grid[-1] < math.pi - 1e-9:
             raise ValueError("theta grid must cover [0, pi]")
     engine = ThetaEngine(params)
-    gammas = np.array([engine.estimate_at(float(t), n_blocks=1).gamma for t in grid])
+    gammas = np.array([engine.gamma_at(float(t)) for t in grid])
     return _gamma_infimum(engine, grid, gammas, params.w_bins)

@@ -117,12 +117,27 @@ def _station_kernel(ax, ay, az, sx, sy, sz, lam, t0_ratio, d):
 
 
 def _hidden_arrays(seed: int, first: int, last: int):
-    """``(sx, sy, sz, lam1, lam2)`` of trials ``first..last-1``; ``s`` uniform on the sphere."""
+    """``(sx, sy, sz, lam1, lam2)`` of trials ``first..last-1``; ``s`` uniform on the sphere.
+
+    The transform runs in place on the draw block: ``sx``, ``sy``, ``sz`` and
+    ``lam2`` are its four rows, and ``lam1`` is an array of its own, so a
+    caller that keeps station 2's inputs keeps nothing else.
+    """
     u = uniform_block(seed, first, last, DRAWS_PER_TRIAL)
-    z = 2.0 * u[0] - 1.0
-    phi = 2.0 * np.pi * u[1]
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return rho * np.cos(phi), rho * np.sin(phi), z, u[2], u[3]
+    z, phi, sx, lam2 = u
+    lam1 = sx.copy()
+    z *= 2.0
+    z -= 1.0
+    phi *= 2.0 * np.pi
+    rho = z * z
+    np.subtract(1.0, rho, out=rho)
+    np.maximum(0.0, rho, out=rho)
+    np.sqrt(rho, out=rho)
+    np.cos(phi, out=sx)
+    sx *= rho
+    np.sin(phi, out=phi)
+    phi *= rho
+    return sx, phi, z, lam1, lam2
 
 
 class TrialBlock:

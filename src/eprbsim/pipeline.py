@@ -19,8 +19,6 @@ from .coincidence import (
     CorrelationEstimate,
     JACKKNIFE_BLOCKS,
     CoincidenceCounts,
-    block_cells,
-    block_codes,
     block_edges,
     estimate,
 )
@@ -28,6 +26,7 @@ from .model import Setting, SimParams, _hidden_arrays, _station_kernel
 
 _CACHE_LIMIT = 8 * 10**6  # largest ensemble kept between calls, in trials
 _CHUNK = 1 << 22  # trials per chunk when the ensemble is too big to cache
+_MEMO_TOP = 4096  # widest window a merged table resolves unless a wider one is asked
 
 
 class ThetaEngine:
@@ -35,10 +34,17 @@ class ThetaEngine:
 
     An ensemble of at most ``_CACHE_LIMIT`` trials is built once and keeps
     what every tally reads: station 2's ``-s`` and ``lambda2`` (32 bytes a
-    trial), station 1's ``k1`` (8) and ``x1`` (1), and for each jackknife
-    layout in use the base cell codes ``4 * block + 2 * [x1 < 0]`` (8): 57
-    bytes a trial once ``estimate_at`` and ``gamma_at`` have run.  A larger
-    ensemble is regenerated chunk by chunk on every call.
+    trial), and station 1's ``k1`` (8) and ``x1`` (1), 41 bytes a trial.  A
+    larger ensemble is regenerated chunk by chunk on every call.
+
+    One tally of an angle counts every window at once: one ``bincount`` of
+    ``4 * |k1 - k2| + 2 * [x1 < 0] + [x2 < 0]`` per jackknife block, summed
+    cumulatively over ``|k1 - k2|``.  The merged (one-block) table of each
+    angle tallied without blocks is kept, ``4 * (max_tag + 1)`` int32 counts
+    (int64 from ``2**31`` trials), 16 kB at ``t0_ratio = 1000``, so a
+    repeated angle costs no kernel call at any window; ``gamma_at`` reads
+    it.  Beyond a ``max_tag`` of ``_MEMO_TOP`` a kept table stops at the
+    widest window asked so far, or at ``_MEMO_TOP`` if that is wider.
     """
 
     def __init__(self, params: SimParams, first_trial: int = 0):
@@ -48,7 +54,7 @@ class ThetaEngine:
         self.first_trial = first_trial
         self._cache = (self._ensemble(0, params.n_trials)
                        if params.n_trials <= _CACHE_LIMIT else None)
-        self._codes: dict[int, np.ndarray] = {}
+        self._merged: dict[float, np.ndarray] = {}
 
     def _ensemble(self, lo: int, hi: int):
         """Station-2 inputs and station-1 events of trials ``lo..hi-1``."""
@@ -57,20 +63,42 @@ class ThetaEngine:
         x1, k1 = _station_kernel(0.0, 0.0, 1.0, sx, sy, sz, lam1, p.t0_ratio, p.d)
         for v in (sx, sy, sz):  # station 2 receives -s
             np.negative(v, out=v)
-        return (sx, sy, sz, lam2.copy()), x1, k1
+        return (sx, sy, sz, lam2), x1, k1
 
-    def _chunks(self, edges: np.ndarray):
-        """``(station-2 inputs, k1, base cell codes)`` chunk by chunk."""
+    def _chunks(self):
+        """``(first trial, station-2 inputs, x1, k1)`` chunk by chunk."""
         if self._cache is not None:
-            s2, x1, k1 = self._cache
-            if len(edges) not in self._codes:  # one layout per block count
-                self._codes[len(edges)] = block_codes(x1, edges)
-            yield s2, k1, self._codes[len(edges)]
+            yield (0, *self._cache)
             return
         n = self.params.n_trials
         for lo in range(0, n, _CHUNK):
-            s2, x1, k1 = self._ensemble(lo, min(lo + _CHUNK, n))
-            yield s2, k1, block_codes(x1, edges, first=lo)
+            yield (lo, *self._ensemble(lo, min(lo + _CHUNK, n)))
+
+    def _cumulative(self, theta: float, edges: np.ndarray, top: int) -> np.ndarray:
+        """``(n_blocks, top + 1, 4)``: row ``j`` counts the trials with ``|k1 - k2| <= j``.
+
+        Differences above ``top`` are counted in the last row, so row
+        ``min(w, top + 1) - 1`` holds window ``w`` for every ``w <= top`` and,
+        when ``top`` is ``max_tag``, for every ``w``.
+        """
+        p = self.params
+        a2 = Setting.from_polar(theta)
+        size = 4 * (top + 1)
+        hist = np.zeros((len(edges) - 1, size), dtype=np.int64)
+        for lo, (sx, sy, sz, lam2), x1, k1 in self._chunks():
+            x2, dk = _station_kernel(*a2.vec, sx, sy, sz, lam2, p.t0_ratio, p.d)
+            np.subtract(k1, dk, out=dk)
+            np.abs(dk, out=dk)
+            if top < p.max_tag:
+                np.minimum(dk, top, out=dk)
+            cell = (x1 < 0).view(np.int8) * np.int8(2)  # the cell layout of block_codes
+            cell += (x2 < 0).view(np.int8)
+            dk *= 4
+            dk += cell
+            spans = np.clip(edges, lo, lo + len(dk)) - lo
+            for b in np.flatnonzero(np.diff(spans)):
+                hist[b] += np.bincount(dk[spans[b]:spans[b + 1]], minlength=size)
+        return np.cumsum(hist.reshape(len(hist), top + 1, 4), axis=1)
 
     def block_counts_at(self, theta: float, w_bins=None,
                         n_blocks: int = JACKKNIFE_BLOCKS):
@@ -79,7 +107,8 @@ class ThetaEngine:
         ``w_bins`` may be an int, a sequence of ints, or None (the params
         window).  Returns the ``(n_blocks, 4)`` count array for a single
         window, or a dict of them keyed by window, in first-seen order, for a
-        sequence.
+        sequence.  Every window comes from one tally of the angle; with one
+        block that tally is the engine's memo of the angle.
         """
         windows = self.params.w_bins if w_bins is None else w_bins
         single = np.isscalar(windows)
@@ -87,19 +116,31 @@ class ThetaEngine:
         if any(w < 1 for w in window_list):
             raise ValueError("w_bins must be >= 1")
 
-        a2 = Setting.from_polar(theta)
         edges = block_edges(self.params.n_trials, n_blocks)
-        n_blocks = len(edges) - 1
-        cells = {w: np.zeros((n_blocks, 4), dtype=np.int64) for w in window_list}
-        for (sx, sy, sz, lam2), k1, base in self._chunks(edges):
-            x2, dk = _station_kernel(*a2.vec, sx, sy, sz, lam2,
-                                     self.params.t0_ratio, self.params.d)
-            np.subtract(k1, dk, out=dk)
-            np.abs(dk, out=dk)
-            codes = base + (x2 < 0)
-            for w in window_list:
-                cells[w] += block_cells(codes, dk, w, n_blocks)
+        top = min(self.params.max_tag, max(window_list))
+        if len(edges) == 2:
+            table = self._merged_table(float(theta), top)[None]
+        else:
+            table = self._cumulative(theta, edges, top)
+        rows = table.shape[1]
+        cells = {w: table[:, min(w, rows) - 1].astype(np.int64) for w in window_list}
         return cells[window_list[0]] if single else cells
+
+    def _merged_table(self, theta: float, top: int) -> np.ndarray:
+        """The angle's kept ``(rows, 4)`` one-block table, resolving windows up to ``top``.
+
+        A table is built to ``max_tag``, so it serves every window, unless
+        ``max_tag`` exceeds both ``_MEMO_TOP`` and ``top``; then it is rebuilt
+        when a wider window is asked.
+        """
+        table = self._merged.get(theta)
+        if table is None or len(table) <= top:
+            p = self.params
+            top = min(p.max_tag, max(top, _MEMO_TOP))
+            table = self._cumulative(theta, block_edges(p.n_trials, 1), top)[0]
+            table = self._merged[theta] = table.astype(
+                np.int32 if p.n_trials < 2**31 else np.int64)
+        return table
 
     def estimate_at(self, theta: float, w_bins: int | None = None,
                     n_blocks: int = JACKKNIFE_BLOCKS) -> CorrelationEstimate:
@@ -108,5 +149,5 @@ class ThetaEngine:
         return estimate(CoincidenceCounts.from_cells(blocks, self.params.n_trials), blocks)
 
     def gamma_at(self, theta: float, w_bins: int | None = None) -> float:
-        """Coincidence frequency at one angle (cheaper than a full estimate)."""
-        return self.estimate_at(theta, w_bins, n_blocks=1).gamma
+        """Coincidence frequency at one angle, read off its merged one-block table."""
+        return int(self.block_counts_at(theta, w_bins, n_blocks=1).sum()) / self.params.n_trials

@@ -16,7 +16,7 @@ from eprbsim import (
     s_value,
     smax_quantum,
 )
-from eprbsim import pipeline
+from eprbsim import inequalities, pipeline
 from eprbsim.inequalities import _fold
 from eprbsim.pipeline import ThetaEngine
 
@@ -125,6 +125,33 @@ class TestMaximizeS:
         rep = maximize_S(p)
         assert rep.s > smax_quantum().value
         assert rep.flags.super_quantum
+
+
+class TestSelectionEngineReuse:
+    P = SimParams(w_bins=1, t0_ratio=200.0, d=3.0, n_trials=2 * 10**4, seed=37)
+
+    def _engines_built(self, params):
+        """``maximize_S(params)`` and the number of engines it constructed."""
+        with mock.patch.object(inequalities, "ThetaEngine", wraps=ThetaEngine) as built:
+            rep = maximize_S(params, FAST)
+        return rep, built.call_count
+
+    def test_window_family_shares_selection(self):
+        inequalities._selection.clear()
+        cold = maximize_S(replace(self.P, w_bins=16), FAST)
+        self._engines_built(self.P)
+        self._engines_built(replace(self.P, w_bins=1000))
+        warm, built = self._engines_built(replace(self.P, w_bins=16))
+        assert built == 4  # the four held-out legs only
+        assert warm == cold and repr(warm) == repr(cold)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 38), ("n_trials", 2 * 10**4 + 1), ("t0_ratio", 201.0), ("d", 2.5)])
+    def test_other_ensemble_misses(self, field, value):
+        self._engines_built(self.P)
+        _, built = self._engines_built(replace(self.P, **{field: value}))
+        assert built == 5
+        assert len(inequalities._selection) == 1  # the old ensemble was freed
 
 
 class TestHeldOutLegs:

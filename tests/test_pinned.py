@@ -154,12 +154,18 @@ class TestEngineMatchesReferenceTally:
         t0_ratio=st.sampled_from([0.6, 37.5]),
         seed=st.integers(0, 2**64 - 1),
         chunk=st.integers(37, 600),
+        memo_top=st.sampled_from([1, 5, 4096]),
     )
-    def test_cached_and_chunked(self, theta, windows, n_blocks, d, t0_ratio, seed, chunk):
+    def test_cached_and_chunked(self, theta, windows, n_blocks, d, t0_ratio, seed, chunk,
+                                memo_top):
         p = SimParams(w_bins=1, t0_ratio=t0_ratio, d=d, n_trials=1500, seed=seed)
+        # the edges of the window-cumulative table: the narrowest window, its
+        # last row (max_tag), one past it and a window far outside it
+        windows = windows + [1, p.max_tag, p.max_tag + 1, 5 * p.max_tag + 3]
         blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
         expected = {w: tally_blocks(blk, w, n_blocks) for w in windows}
-        cached = ThetaEngine(p).block_counts_at(theta, windows, n_blocks)
+        engine = ThetaEngine(p)
+        cached = engine.block_counts_at(theta, windows, n_blocks)
         # a chunk size that is no multiple of the block size puts chunk
         # boundaries inside jackknife blocks
         with mock.patch.object(pipeline, "_CHUNK", chunk), \
@@ -168,6 +174,35 @@ class TestEngineMatchesReferenceTally:
         for got in (cached, chunked):
             assert got.keys() == expected.keys()
             assert all(np.array_equal(got[w], expected[w]) for w in expected)
+
+        # a repeated angle is read off the engine's merged table, with no
+        # kernel call, and equals a cold engine's one-block tally; a table
+        # narrower than max_tag (memo_top below it) is rebuilt when a wider
+        # window is asked
+        with mock.patch.object(pipeline, "_MEMO_TOP", memo_top):
+            cold = ThetaEngine(p).block_counts_at(theta, windows, 1)
+            engine.block_counts_at(theta, min(windows), 1)
+            engine.block_counts_at(theta, windows, 1)
+            with mock.patch.object(pipeline, "_station_kernel", side_effect=AssertionError):
+                hit = engine.block_counts_at(theta, windows, 1)
+                gammas = [engine.gamma_at(theta, w) for w in windows]
+        assert hit.keys() == cold.keys()
+        for w in windows:
+            merged = tally_blocks(blk, w, 1)
+            assert np.array_equal(hit[w], merged) and np.array_equal(cold[w], merged)
+            assert hit[w].dtype == np.int64
+        assert gammas == [int(tally_blocks(blk, w, 1).sum()) / p.n_trials for w in windows]
+
+    def test_returned_counts_are_copies(self):
+        p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=2000, seed=4)
+        engine = ThetaEngine(p)
+        first = engine.block_counts_at(1.2, [1, 16], n_blocks=1)
+        expected = {w: c.copy() for w, c in first.items()}
+        for c in first.values():
+            c += 1000
+        again = engine.block_counts_at(1.2, [1, 16], n_blocks=1)
+        assert all(np.array_equal(again[w], expected[w]) for w in expected)
+        assert engine.gamma_at(1.2, 16) == int(expected[16].sum()) / p.n_trials
 
     def test_repeated_window_counted_once(self):
         p = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=10**5, seed=3)
