@@ -165,12 +165,15 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
     with the nearest unmatched event of the other stream whenever the tag
     difference is inside the window; every event is used at most once.  When
     the immediate candidate's successor is strictly closer, the candidate is
-    skipped in its favour.  Entries are keyed by ``(setting_a, setting_b)``,
-    one for every pair of settings present, in sorted order; the pairs are
-    tallied in the cell layout of :func:`block_codes`, with the setting pair
-    in place of the block.  Each cell's ``n_total`` is the maximum number of
-    pairs that cell could have produced, ``min(count_a, count_b)`` of events
-    carrying those settings.
+    skipped in its favour.  The walk never looks across a gap of ``w_bins``
+    or more in the merged tags; cut there, a segment of one event a side is a
+    pair, and only segments with more events on both sides are walked.
+    Entries are keyed by ``(setting_a, setting_b)``, one for every pair of
+    settings present, in sorted order; the pairs are tallied in the cell
+    layout of :func:`block_codes`, with the setting pair in place of the
+    block.  Each cell's ``n_total`` is the maximum number of pairs that cell
+    could have produced, ``min(count_a, count_b)`` of events carrying those
+    settings.
 
     ``stream_a`` and ``stream_b`` expose arrays ``k``, ``setting_index`` and
     ``x`` sorted by ``k`` (see :class:`eprbsim.ttag_io.EventStream`).
@@ -183,8 +186,16 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
             bad = int(np.argmax(dk < 0)) + 1
             raise ValueError(f"{name} is not sorted by k (first violation at event {bad})")
 
-    ka = stream_a.k.tolist()
-    kb = stream_b.k.tolist()
+    merged = np.sort(np.concatenate([stream_a.k, stream_b.k]), kind="stable")
+    starts = merged[1:][np.diff(merged) >= w_bins]  # first tags of later segments
+    seg_a = np.searchsorted(starts, stream_a.k, "right")
+    seg_b = np.searchsorted(starts, stream_b.k, "right")
+    both = (np.bincount(seg_a, minlength=len(starts) + 1)
+            * np.bincount(seg_b, minlength=len(starts) + 1))
+    loop_a = np.flatnonzero(both[seg_a] > 1)
+    loop_b = np.flatnonzero(both[seg_b] > 1)
+    ka = stream_a.k[loop_a].tolist()
+    kb = stream_b.k[loop_b].tolist()
     na, nb = len(ka), len(kb)
     pairs_a: list[int] = []
     pairs_b: list[int] = []
@@ -212,8 +223,8 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
         i += 1
         j += 1
 
-    pa = np.asarray(pairs_a, dtype=np.int64)
-    pb = np.asarray(pairs_b, dtype=np.int64)
+    pa = np.concatenate([np.flatnonzero(both[seg_a] == 1), loop_a[pairs_a]])
+    pb = np.concatenate([np.flatnonzero(both[seg_b] == 1), loop_b[pairs_b]])
     counts_a = np.bincount(stream_a.setting_index).tolist()
     counts_b = np.bincount(stream_b.setting_index).tolist()
     n_a, n_b = len(counts_a), len(counts_b)

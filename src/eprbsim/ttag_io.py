@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -64,48 +65,69 @@ class EventStream:
 
 def write_events(stream: EventStream, path) -> None:
     """Serialize a station stream as TTAG-CSV v1 (lossless)."""
-    lines = [f"{_HEADER_PREFIX}{TTAG_VERSION}"]
-    lines.extend(
-        f"{int(k)},{int(s)},{int(x)}"
-        for k, s, x in zip(stream.k, stream.setting_index, stream.x)
-    )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    rows = np.stack([stream.k, stream.setting_index, stream.x], axis=1)
+    text = (f"{_HEADER_PREFIX}{TTAG_VERSION}\n" + "%s,%s,%s\n" * len(stream)) % tuple(
+        rows.ravel().tolist())
+    Path(path).write_text(text, encoding="ascii", newline="\n")
 
 
 def read_events(path) -> EventStream:
-    """Parse a TTAG-CSV v1 file, rejecting version or format violations."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or not lines[0].startswith(_HEADER_PREFIX):
+    """Parse a TTAG-CSV v1 file, rejecting version or format violations.
+
+    One ``np.loadtxt`` parses the rows before the first blank line, carriage
+    return or non-ASCII byte, which it would misread.  An error names the
+    first bad line.
+    """
+    data, nl = Path(path).read_bytes(), b"\n"
+    body = data.find(nl) + 1 or len(data)
+    header = data[:body].decode("ascii", "replace")
+    if not header.startswith(_HEADER_PREFIX):
         raise TtagFormatError(f"{path}: missing '{_HEADER_PREFIX}<version>' header")
     try:
-        version = int(lines[0][len(_HEADER_PREFIX):].strip())
+        version = int(header[len(_HEADER_PREFIX):].strip())
     except ValueError:
         raise TtagFormatError(f"{path}: unreadable version in header") from None
     if version != TTAG_VERSION:
         raise TtagFormatError(
             f"{path}: unsupported ttag-csv version {version} (expected {TTAG_VERSION})")
-    ks, ss, xs = [], [], []
-    prev_k = -1
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise TtagFormatError(f"{path}:{lineno}: expected 'k,setting_index,x'")
-        try:
-            k, s, x = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise TtagFormatError(f"{path}:{lineno}: non-integer field") from None
-        if k < 0 or s < 0 or x not in (-1, 1):
-            raise TtagFormatError(f"{path}:{lineno}: field out of range")
-        if k < prev_k:
-            raise TtagFormatError(f"{path}:{lineno}: tags must be non-decreasing")
-        prev_k = k
-        ks.append(k)
-        ss.append(s)
-        xs.append(x)
-    return EventStream(ks, ss, xs)
+    if body == len(data):
+        return EventStream([], [], [])
+    shape = "expected 'k,setting_index,x'"
+    end = data.find(nl, body)
+    if data.count(b",", body, end if end >= 0 else len(data)) != 2:
+        raise TtagFormatError(f"{path}:2: {shape}")
+    found = [(data.find(b"\r", body), "carriage return"),
+             (data.find(b"\n\n") + 1 or -1, shape)]
+    if not data.isascii():
+        found.append((re.search(rb"[^\0-\x7f]", data).start(), "non-ASCII byte"))
+    stop, what = min((f for f in found if f[0] >= 0), default=(0, None))
+    n_rows = data.count(nl, 0, stop) - 1 if what else None  # the rows before it
+    error = what and f"{path}:{n_rows + 2}: {what}"
+    del data
+
+    def parse(n_rows):  # numpy warns on 0 rows and unzips a *.gz path
+        if n_rows == 0:
+            return np.empty((0, 3), np.int64)
+        with open(path, encoding="latin-1") as f:
+            return np.loadtxt(f, np.int64, delimiter=",", comments=None, skiprows=1,
+                              max_rows=n_rows, ndmin=2)
+    try:
+        rows = parse(n_rows)
+    except ValueError as ex:  # numpy counts from 0 in a conversion error, else from 1
+        convert = "could not convert" in str(ex)
+        n_rows = int(re.search(r"at row (\d+)", str(ex))[1]) - (not convert)
+        error = f"{path}:{n_rows + 2}: " + ("non-integer field" if convert else shape)
+        rows = parse(n_rows)  # the rows before it
+    k, s, x = rows.T
+    out_of_range = (k < 0) | (s < 0) | (np.abs(x) != 1)
+    bad = out_of_range | (np.diff(k, prepend=k[:1]) < 0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise TtagFormatError(f"{path}:{i + 2}: " + (
+            "field out of range" if out_of_range[i] else "tags must be non-decreasing"))
+    if error:
+        raise TtagFormatError(error)
+    return EventStream(k, s, x)
 
 
 def export_station_streams(block: TrialBlock, setting_index_1: int = 0,

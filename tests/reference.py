@@ -10,7 +10,9 @@ replays one trial at a time, as the model is stated:
   pure-``math`` law may differ from numpy's vectorised ``power`` in the last
   ulp);
 * a tally over ``(x1, k1, x2, k2)`` rows;
-* the delete-one-block jackknife, one block at a time in Python integers.
+* the delete-one-block jackknife, one block at a time in Python integers;
+* greedy stream matching, one event at a time;
+* the TTAG-CSV body, one line at a time with ``int()``.
 """
 
 import math
@@ -18,6 +20,7 @@ import math
 import numpy as np
 
 from eprbsim.coincidence import CoincidenceCounts
+from eprbsim.errors import TtagFormatError
 from eprbsim.model import _station_kernel
 
 _MASK = (1 << 64) - 1
@@ -81,3 +84,60 @@ def jackknife_stderr_e(cells) -> float | None:
     loo = np.asarray(loo)
     nb = len(loo)
     return float(np.sqrt((nb - 1) / nb * np.sum((loo - loo.mean()) ** 2)))
+
+
+def match_pairs(ka, kb, w_bins: int) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)`` of the greedy nearest-tag match of two sorted tag lists.
+
+    Walk both lists in time order and pair the two current events when their
+    tags differ by less than ``w_bins``, unless the earlier event's partner
+    has a successor strictly closer to it; every event is used at most once.
+    """
+    pairs = []
+    i = j = 0
+    while i < len(ka) and j < len(kb):
+        delta = kb[j] - ka[i]
+        if delta <= -w_bins:
+            j += 1
+            continue
+        if delta >= w_bins:
+            i += 1
+            continue
+        if ka[i] <= kb[j]:
+            if i + 1 < len(ka) and abs(ka[i + 1] - kb[j]) < abs(delta):
+                i += 1
+                continue
+        else:
+            if j + 1 < len(kb) and abs(kb[j + 1] - ka[i]) < abs(delta):
+                j += 1
+                continue
+        pairs.append((i, j))
+        i += 1
+        j += 1
+    return pairs
+
+
+def ttag_rows(path, text: str) -> list[tuple[int, int, int]]:
+    """The ``(k, setting_index, x)`` rows of a TTAG-CSV v1 body, one line at a time.
+
+    ``text`` is the file after its header line.  The first bad line raises
+    ``TtagFormatError`` with the message ``eprbsim.read_events`` gives it.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise TtagFormatError(f"{path}:{lineno}: expected 'k,setting_index,x'")
+        try:
+            k, s, x = (int(v) for v in parts)
+        except ValueError:
+            raise TtagFormatError(f"{path}:{lineno}: non-integer field") from None
+        if k < 0 or s < 0 or x not in (-1, 1):
+            raise TtagFormatError(f"{path}:{lineno}: field out of range")
+        if rows and k < rows[-1][0]:
+            raise TtagFormatError(f"{path}:{lineno}: tags must be non-decreasing")
+        rows.append((k, s, x))
+    return rows

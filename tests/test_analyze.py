@@ -12,13 +12,16 @@ from eprbsim import (
     estimate,
     export_station_streams,
     match_streams,
+    read_events,
     run_pairs,
     smax_quantum,
     synthetic_singlet_streams,
     tally,
     write_events,
 )
-from eprbsim.ttag_io import EventStream
+from eprbsim.analyze import report_rows
+from eprbsim.cli import main
+from eprbsim.ttag_io import EventStream, format_real
 
 
 class TestSyntheticSinglet:
@@ -104,3 +107,33 @@ class TestPipelineEquivalence:
         direct = estimate(tally(blk, p.w_bins))
         assert report.cells[(0, 0)].e == direct.e
         assert report.cells[(0, 0)].gamma == direct.gamma
+
+    def test_two_by_two_files_at_scale(self, tmp_path, capsys):
+        # four 5 x 10^4-trial cells one after another, so tags reach 4 x 10^8
+        w, n = 285, 5 * 10**4
+        angles_a, angles_b = (0.0, math.pi / 2), (math.pi / 4, 3 * math.pi / 4)
+        cols_a, cols_b, offset = [], [], 0
+        for i, a in enumerate(angles_a):
+            for j, b in enumerate(angles_b):
+                p = SimParams(w, 1000.0, 3.0, n, seed=1 + 2 * i + j)
+                blk = run_pairs(Setting.from_polar(a), Setting.from_polar(b), p)
+                for cols, s in zip((cols_a, cols_b), export_station_streams(blk, i, j)):
+                    cols.append((s.k + offset, s.setting_index, s.x))
+                offset += n * 2 * (p.max_tag + 1)
+        streams = [EventStream(*map(np.concatenate, zip(*cols))) for cols in (cols_a, cols_b)]
+        assert 3.9e8 < streams[0].k[-1] < 4.1e8
+        files = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for stream, path in zip(streams, files):
+            write_events(stream, path)
+            assert read_events(path) == stream
+        assert main(["analyze", "--file-a", str(files[0]), "--file-b", str(files[1]),
+                     "--settings-a", ",".join(map(repr, angles_a)),
+                     "--settings-b", ",".join(map(repr, angles_b)),
+                     "--w-bins", str(w)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        report = analyze_streams(*streams, 2, 2, w)
+        printed = [line.split(",")[1:] for line in out if line.startswith("cell,")]
+        assert [(int(ia), int(ib), float(e), float(se), float(g), int(nc), int(nt))
+                for ia, ib, e, se, g, nc, nt in printed] == [
+                    row[1:] for row in report_rows(report)]
+        assert f"s_best = {format_real(report.s_best)}" in out

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprbsim import (
@@ -216,7 +216,31 @@ class TestJackknife:
         assert jackknife_stderr_e(np.array(rows, dtype=np.int64)) is None
 
 
+@st.composite
+def tag_lists(draw):
+    """Two sorted tag lists drawn from one pool, so tags repeat within and across them.
+
+    Pool gaps reach 1 (dense, ties everywhere), 11 (as the pinned random
+    streams) or 400 (sparse, mostly one event a segment).
+    """
+    top = draw(st.sampled_from([1, 11, 400]))
+    pool = np.cumsum(draw(st.lists(st.integers(0, top), min_size=1, max_size=30))).tolist()
+    return tuple(sorted(draw(st.lists(st.sampled_from(pool), max_size=30))) for _ in "ab")
+
+
 class TestMatchStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(tags=tag_lists(), w_bins=st.one_of(st.just(1), st.integers(1, 60)))
+    @example(tags=([0, 3, 4, 4, 20], [2, 4, 4, 9, 21]), w_bins=5)  # several events a side
+    @example(tags=([5, 5, 7], [5, 6, 6]), w_bins=1)  # equal tags across and within
+    def test_pairs_equal_greedy_oracle(self, tags, w_bins):
+        # one setting per event: cell (i, j) is coincident iff events i and j paired
+        ka, kb = tags
+        a = EventStream(ka, range(len(ka)), [1] * len(ka))
+        b = EventStream(kb, range(len(kb)), [1] * len(kb))
+        pairs = sorted(key for key, c in match_streams(a, b, w_bins).items() if c.n_coinc)
+        assert pairs == reference.match_pairs(ka, kb, w_bins)
+
     def test_single_opposite_pair(self):
         a = EventStream([0], [0], [+1])
         b = EventStream([0], [0], [-1])

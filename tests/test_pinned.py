@@ -6,7 +6,8 @@ byte-identical, so these digests were recorded once and are compared here
 rather than between two runs of the same code.  The engine property test
 checks the cached and chunked engines against the per-block reference tally
 of ``run_pairs``.  The stream-matching pins cover ``match_streams`` on
-random multi-setting streams and on the exported layout of four blocks.
+random multi-setting streams and on the exported layout of four blocks; the
+TTAG-CSV pins cover the writer's bytes on two streams.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ from eprbsim import (
     tally,
     tally_blocks,
     uniform_block,
+    write_events,
 )
 from eprbsim import pipeline
 from eprbsim.cli import main
@@ -80,6 +82,17 @@ class TestPinnedBytes:
         run = run_scenario(name, tmp_path, {"n_trials": 20000, "seed": 5})
         assert read_manifest(run.manifest_path).output_digests[table] == digest
 
+
+    @pytest.mark.parametrize("stream, digest", [
+        (EventStream([0, 2**31 - 1, 2**31, 2**31, 2**32 + 5, 2**40 + 3, 2**62],
+                     [0, 1, 2, 1, 0, 2, 1], [1, -1, 1, -1, -1, 1, 1]),
+         "c105dfbe0e1757c84bfa074168b909c6ca9021a54929e9769671396c342fc279"),
+        (EventStream([], [], []),  # the header line only
+         "5489e34c594ce1a4e9c8d20f63f46120891f69b7de472ef0b7a64e9b945b70af"),
+    ], ids=["tags-past-2**31", "empty"])
+    def test_ttag_file(self, tmp_path, stream, digest):
+        write_events(stream, tmp_path / "s.csv")
+        assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == digest
 
     def test_sweep_stdout(self, capsys):
         assert main(["sweep", "--w-bins", "16", "--n", "20000", "--seed", "5"]) == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from eprbsim.ttag_io import (
 )
 from eprbsim.errors import UsageError
 
+from . import reference
+
 
 @st.composite
 def event_streams(draw):
@@ -37,6 +40,19 @@ def event_streams(draw):
     settings_ = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     xs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     return EventStream(list(ks), settings_, xs)
+
+
+@st.composite
+def ttag_bodies(draw):
+    """TTAG-CSV bodies: valid rows with up to three lines swapped for odd ones."""
+    n = draw(st.integers(1, 12))
+    ks = np.cumsum(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))).tolist()
+    lines = [f"{k},{draw(st.integers(0, 2))},{draw(st.sampled_from([-1, 1]))}" for k in ks]
+    odd = st.sampled_from(["", "# x", "1,0,1 # c", "1,0", "1,0,1,", "x,0,1", "0,0,3",
+                           "5,-1,1", "0,0,1", " 2 ,1, -1", "+4,0,1", "-0,1,1", "9,0,-1"])
+    for _ in range(draw(st.integers(0, 3))):
+        lines[draw(st.integers(0, n - 1))] = draw(odd)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
 
 
 class TestEventStream:
@@ -74,6 +90,13 @@ class TestTtagRoundTrip:
         write_events(read_events(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# ttag-csv 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a parse of no rows
+            assert read_events(path) == EventStream([], [], [])
+
     def test_header_is_versioned(self, tmp_path):
         path = tmp_path / "s.csv"
         write_events(EventStream([0], [0], [1]), path)
@@ -110,6 +133,49 @@ class TestTtagErrors:
         path.write_text("# ttag-csv 1\n0,0,3\n")
         with pytest.raises(TtagFormatError, match="out of range"):
             read_events(path)
+
+    @pytest.mark.parametrize("body, where", [
+        (b"0,0,1\n\n1,0,1\n", ":3: expected 'k,setting_index,x'"),  # loadtxt skips it
+        (b"0,0,1\n1,0,1\n\n", ":4: expected 'k,setting_index,x'"),
+        (b"0,0,1\n# x\n1,0,1\n", ":3: expected 'k,setting_index,x'"),
+        (b"0,0,1\n1,0,1 # c\n", ":3: non-integer field"),
+        (b"1,0\n", ":2: expected 'k,setting_index,x'"),  # loadtxt gives shape (1, 2)
+        (b"0,0,1\n1,\xff,1\n", ":3: non-ASCII byte"),
+        (b"0,0,1\r\n1,0,1\r\n", ":2: carriage return"),
+        (b"1_0,0,1\n", ":2: non-integer field"),  # int() reads it as 10
+    ], ids=["blank-line", "trailing-blank-line", "comment-line", "trailing-comment",
+            "one-short-row", "non-ascii", "crlf", "underscore"])
+    def test_line_a_bulk_parse_would_pass(self, tmp_path, body, where):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"# ttag-csv 1\n" + body)
+        with pytest.raises(TtagFormatError, match=f"s.csv{where}"):
+            read_events(path)
+
+    def test_plus_sign_and_spaces_accepted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# ttag-csv 1\n+1, 0 ,-1\n")
+        assert read_events(path) == EventStream([1], [0], [-1])
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        # a range error before a row the parse rejects, and before a blank line
+        path = tmp_path / "s.csv"
+        path.write_text("# ttag-csv 1\n0,0,1\n0,0,3\nx\n\n")
+        with pytest.raises(TtagFormatError, match=":3: field out of range"):
+            read_events(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=ttag_bodies())
+    def test_matches_line_by_line_reader(self, body, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ttag") / "s.csv"
+        path.write_text("# ttag-csv 1\n" + body)
+        try:
+            rows = reference.ttag_rows(path, body)
+        except TtagFormatError as ex:
+            with pytest.raises(TtagFormatError) as got:
+                read_events(path)
+            assert str(got.value) == str(ex)
+        else:
+            assert read_events(path) == EventStream(*np.reshape(rows, (-1, 3)).T)
 
 
 class TestExport:
