@@ -70,6 +70,8 @@ class CorrelationEstimate:
 
 def block_edges(n: int, n_blocks: int) -> np.ndarray:
     """Edges of the ``min(n_blocks, n)`` contiguous jackknife blocks of ``n`` trials."""
+    if not isinstance(n_blocks, (int, np.integer)) or n_blocks < 1:
+        raise ValueError("n_blocks must be an integer >= 1")
     return np.linspace(0, n, min(n_blocks, n) + 1).astype(np.int64)
 
 

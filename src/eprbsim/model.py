@@ -97,13 +97,15 @@ class Setting:
         return float(self.vec @ other.vec)
 
 
-def _station_kernel(ax, ay, az, sx, sy, sz, lam, t0_ratio, d):
-    """Vectorized station law; every input local to the station.
+def _station_kernel(c, lam, t0_ratio, d):
+    """Vectorized station law on the projection ``c = s_local . a``; every input local.
 
     Returns ``(x, k)`` as int8 / int64 arrays.  The delay law runs in place
-    on the one float buffer that first holds ``c = s . a``.
+    on ``c``, so a caller passes a buffer it no longer needs.  Only the value
+    of ``c`` matters, not the sign of a zero: neither ``c >= 0`` nor ``c * c``
+    reads it, so a projection that drops terms which are ``+-0`` gives the
+    same events.
     """
-    c = sx * ax + sy * ay + sz * az
     x = (c >= 0.0).view(np.int8) * 2 - 1
     c *= c
     np.subtract(1.0, c, out=c)
@@ -112,20 +114,20 @@ def _station_kernel(ax, ay, az, sx, sy, sz, lam, t0_ratio, d):
     c *= t0_ratio  # max delay, units of tau
     np.ceil(c, out=c)
     np.maximum(c, 1.0, out=c)  # m: whole resolution bins spanned
-    c *= lam
-    return x, np.floor(c, out=c).astype(np.int64)
+    c *= lam  # >= 0, so the cast's truncation is the floor
+    return x, c.astype(np.int64)
 
 
-def _hidden_arrays(seed: int, first: int, last: int):
+def _hidden_arrays(seed: int, first: int, last: int, y: bool = True):
     """``(sx, sy, sz, lam1, lam2)`` of trials ``first..last-1``; ``s`` uniform on the sphere.
 
-    The transform runs in place on the draw block: ``sx``, ``sy``, ``sz`` and
-    ``lam2`` are its four rows, and ``lam1`` is an array of its own, so a
-    caller that keeps station 2's inputs keeps nothing else.
+    The transform runs in place on the draw block: ``sx``, ``sz``, ``lam1``
+    and ``lam2`` are its four rows.  ``sy`` is an array of its own, or None
+    when ``y`` is false, for a caller whose settings lie in the xz-plane;
+    that caller never evaluates ``sin``.
     """
     u = uniform_block(seed, first, last, DRAWS_PER_TRIAL)
-    z, phi, sx, lam2 = u
-    lam1 = sx.copy()
+    z, phi, lam1, lam2 = u
     z *= 2.0
     z -= 1.0
     phi *= 2.0 * np.pi
@@ -133,11 +135,13 @@ def _hidden_arrays(seed: int, first: int, last: int):
     np.subtract(1.0, rho, out=rho)
     np.maximum(0.0, rho, out=rho)
     np.sqrt(rho, out=rho)
-    np.cos(phi, out=sx)
-    sx *= rho
-    np.sin(phi, out=phi)
+    sy = None
+    if y:
+        sy = np.sin(phi)
+        sy *= rho
+    np.cos(phi, out=phi)
     phi *= rho
-    return sx, phi, z, lam1, lam2
+    return phi, sy, z, lam1, lam2
 
 
 class TrialBlock:
@@ -173,9 +177,9 @@ def run_pairs(a1: Setting, a2: Setting, params: SimParams,
     sx, sy, sz, lam1, lam2 = _hidden_arrays(params.seed, 0, n)
     a1x, a1y, a1z = (float(v) for v in a1.vec)
     a2x, a2y, a2z = (float(v) for v in a2.vec)
-    x1, k1 = _station_kernel(a1x, a1y, a1z, sx, sy, sz, lam1,
+    x1, k1 = _station_kernel(sx * a1x + sy * a1y + sz * a1z, lam1,
                              params.t0_ratio, params.d)
-    x2, k2 = _station_kernel(a2x, a2y, a2z, -sx, -sy, -sz, lam2,
+    x2, k2 = _station_kernel(-sx * a2x + -sy * a2y + -sz * a2z, lam2,
                              params.t0_ratio, params.d)
     hidden = (sx, sy, sz, lam1, lam2) if keep_hidden else None
     return TrialBlock(params, x1, k1, x2, k2, hidden=hidden)

@@ -8,7 +8,9 @@ it merely avoids regenerating the draws and the station-1 events per point.
 
 An engine reads the ``params.n_trials`` trials starting at ``first_trial`` of
 the seed's counter stream, so engines at offsets a multiple of ``n_trials``
-apart see disjoint, independent ensembles of the same size.
+apart see disjoint, independent ensembles of the same size.  It keeps 33
+bytes a trial, and builds, tallies and regenerates ``_CHUNK`` trials at a
+time.
 """
 
 from __future__ import annotations
@@ -25,17 +27,27 @@ from .coincidence import (
 from .model import Setting, SimParams, _hidden_arrays, _station_kernel
 
 _CACHE_LIMIT = 8 * 10**6  # largest ensemble kept between calls, in trials
-_CHUNK = 1 << 22  # trials per chunk when the ensemble is too big to cache
+_CHUNK = 1 << 15  # trials per pass of a build, a tally or a regeneration; fits in L2
 _MEMO_TOP = 4096  # widest window a merged table resolves unless a wider one is asked
+
+
+def _columns(n: int):
+    """Empty ``-sx``, ``-sz``, ``lambda2``, ``x1`` and ``k1`` columns of ``n`` trials."""
+    return (np.empty(n), np.empty(n), np.empty(n),
+            np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int64))
 
 
 class ThetaEngine:
     """Evaluates correlation estimates over relative angles at a shared seed.
 
     An ensemble of at most ``_CACHE_LIMIT`` trials is built once and keeps
-    what every tally reads: station 2's ``-s`` and ``lambda2`` (32 bytes a
-    trial), and station 1's ``k1`` (8) and ``x1`` (1), 41 bytes a trial.  A
-    larger ensemble is regenerated chunk by chunk on every call.
+    what every tally reads: station 2's ``-sx``, ``-sz`` and ``lambda2`` (24
+    bytes a trial), and station 1's ``k1`` (8) and ``x1`` (1), 33 bytes a
+    trial.  Every setting lies in the xz-plane, so the engine needs no
+    ``sy``: station 1 projects ``s`` as ``sz`` and station 2 as
+    ``sx * ax + sz * az``.  A larger ensemble is regenerated on every call.
+    Building, tallying and regenerating all go ``_CHUNK`` trials at a time,
+    so no temporary spans the ensemble.
 
     One tally of an angle counts every window at once: one ``bincount`` of
     ``4 * |k1 - k2| + 2 * [x1 < 0] + [x2 < 0]`` per jackknife block, summed
@@ -52,41 +64,48 @@ class ThetaEngine:
             raise ValueError("first_trial must be >= 0")
         self.params = params
         self.first_trial = first_trial
-        self._cache = (self._ensemble(0, params.n_trials)
-                       if params.n_trials <= _CACHE_LIMIT else None)
+        self._kept = None
+        n = params.n_trials
+        if n <= _CACHE_LIMIT:
+            kept = _columns(n)
+            for lo in range(0, n, _CHUNK):
+                self._build(lo, *(col[lo:lo + _CHUNK] for col in kept))
+            self._kept = kept
         self._merged: dict[float, np.ndarray] = {}
 
-    def _ensemble(self, lo: int, hi: int):
-        """Station-2 inputs and station-1 events of trials ``lo..hi-1``."""
-        p, first = self.params, self.first_trial
-        sx, sy, sz, lam1, lam2 = _hidden_arrays(p.seed, first + lo, first + hi)
-        x1, k1 = _station_kernel(0.0, 0.0, 1.0, sx, sy, sz, lam1, p.t0_ratio, p.d)
-        for v in (sx, sy, sz):  # station 2 receives -s
-            np.negative(v, out=v)
-        return (sx, sy, sz, lam2), x1, k1
-
-    def _chunks(self):
-        """``(first trial, station-2 inputs, x1, k1)`` chunk by chunk."""
-        if self._cache is not None:
-            yield (0, *self._cache)
-            return
-        n = self.params.n_trials
-        for lo in range(0, n, _CHUNK):
-            yield (lo, *self._ensemble(lo, min(lo + _CHUNK, n)))
+    def _build(self, lo: int, sx, sz, lam2, x1, k1) -> None:
+        """Write the chunk of trials from ``lo`` into the given ``_columns`` views."""
+        p, first = self.params, self.first_trial + lo
+        hx, _, hz, lam1, hlam2 = _hidden_arrays(p.seed, first, first + len(sx), y=False)
+        np.negative(hx, out=sx)  # station 2 receives -s
+        np.negative(hz, out=sz)
+        lam2[:] = hlam2
+        x1[:], k1[:] = _station_kernel(hz, lam1, p.t0_ratio, p.d)  # z-hat . s is sz
 
     def _cumulative(self, theta: float, edges: np.ndarray, top: int) -> np.ndarray:
         """``(n_blocks, top + 1, 4)``: row ``j`` counts the trials with ``|k1 - k2| <= j``.
 
         Differences above ``top`` are counted in the last row, so row
         ``min(w, top + 1) - 1`` holds window ``w`` for every ``w <= top`` and,
-        when ``top`` is ``max_tag``, for every ``w``.
+        when ``top`` is ``max_tag``, for every ``w``.  Chunks are read from
+        the kept columns, or rebuilt into one chunk-sized set.
         """
-        p = self.params
-        a2 = Setting.from_polar(theta)
+        p, n = self.params, self.params.n_trials
+        ax, _, az = Setting.from_polar(theta).vec  # its y component is 0
         size = 4 * (top + 1)
         hist = np.zeros((len(edges) - 1, size), dtype=np.int64)
-        for lo, (sx, sy, sz, lam2), x1, k1 in self._chunks():
-            x2, dk = _station_kernel(*a2.vec, sx, sy, sz, lam2, p.t0_ratio, p.d)
+        c, term = np.empty((2, min(n, _CHUNK)))
+        scratch = _columns(len(c)) if self._kept is None else None
+        for lo in range(0, n, _CHUNK):
+            if scratch is None:
+                sx, sz, lam2, x1, k1 = (col[lo:lo + _CHUNK] for col in self._kept)
+            else:
+                sx, sz, lam2, x1, k1 = cols = [col[:n - lo] for col in scratch]
+                self._build(lo, *cols)
+            m = len(sx)
+            proj = np.multiply(sx, ax, out=c[:m])
+            proj += np.multiply(sz, az, out=term[:m])
+            x2, dk = _station_kernel(proj, lam2, p.t0_ratio, p.d)
             np.subtract(k1, dk, out=dk)
             np.abs(dk, out=dk)
             if top < p.max_tag:
@@ -95,7 +114,7 @@ class ThetaEngine:
             cell += (x2 < 0).view(np.int8)
             dk *= 4
             dk += cell
-            spans = np.clip(edges, lo, lo + len(dk)) - lo
+            spans = np.clip(edges, lo, lo + m) - lo
             for b in np.flatnonzero(np.diff(spans)):
                 hist[b] += np.bincount(dk[spans[b]:spans[b + 1]], minlength=size)
         return np.cumsum(hist.reshape(len(hist), top + 1, 4), axis=1)

@@ -6,7 +6,8 @@ replays one trial at a time, as the model is stated:
 
 * SplitMix64 in plain Python integers, sharing no code with ``eprbsim.rng``;
 * the hidden transform, with ``math``;
-* the station law, as ``model._station_kernel`` on length-1 arrays (a
+* the station law, as ``model._station_kernel`` on a length-1 array of
+  the three-term projection ``s . a``, formed here in Python floats (a
   pure-``math`` law may differ from numpy's vectorised ``power`` in the last
   ulp);
 * a tally over ``(x1, k1, x2, k2)`` rows;
@@ -52,8 +53,9 @@ def hidden(seed: int, trial: int):
 
 def station(a, s_local, lam: float, params) -> tuple[int, int]:
     """``(x, k)`` of one particle with spin ``s_local`` at setting ``a``."""
-    x, k = _station_kernel(*(float(v) for v in a.vec),
-                           *(np.array([float(c)]) for c in s_local),
+    ax, ay, az = (float(v) for v in a.vec)
+    sx, sy, sz = (float(v) for v in s_local)
+    x, k = _station_kernel(np.array([sx * ax + sy * ay + sz * az]),
                            np.array([lam]), params.t0_ratio, params.d)
     return int(x[0]), int(k[0])
 

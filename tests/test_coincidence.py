@@ -9,6 +9,7 @@ from eprbsim import (
     CoincidenceCounts,
     Setting,
     SimParams,
+    ThetaEngine,
     TrialBlock,
     estimate,
     estimate_block,
@@ -108,6 +109,15 @@ class TestTally:
         blocks = tally_blocks(blk, 5, n_blocks=100)
         assert blocks.shape == (100, 4)
         assert CoincidenceCounts.from_cells(blocks, len(blk)) == tally(blk, 5)
+
+    @pytest.mark.parametrize("n_blocks", [0, -3, 1.5])
+    def test_bad_block_count_named(self, n_blocks):
+        p = SimParams(w_bins=16, t0_ratio=37.5, d=3.0, n_trials=500, seed=3)
+        blk = run_pairs(Setting.from_polar(0), Setting.from_polar(0.5), p)
+        with pytest.raises(ValueError, match="n_blocks must be an integer >= 1"):
+            tally_blocks(blk, 16, n_blocks)
+        with pytest.raises(ValueError, match="n_blocks must be an integer >= 1"):
+            ThetaEngine(p).estimate_at(0.5, 16, n_blocks=n_blocks)
 
     def test_counts_invariant_validated(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from eprbsim import (
     Setting,
     SimParams,
     ThetaEngine,
+    TrialBlock,
     export_station_streams,
     match_streams,
     run_pairs,
@@ -35,6 +36,7 @@ from eprbsim import (
 )
 from eprbsim import pipeline
 from eprbsim.cli import main
+from eprbsim.model import _station_kernel
 from eprbsim.ttag_io import read_manifest
 
 from . import reference
@@ -226,3 +228,90 @@ class TestEngineMatchesReferenceTally:
         wide = engine.block_counts_at(1.0, [285, 16, 285])
         assert list(wide) == [285, 16]
         assert np.array_equal(wide[285], engine.block_counts_at(1.0, 285))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        theta=st.floats(0.0, math.pi),
+        d=st.sampled_from([0.0, 2.2, 3.0]),
+        t0_ratio=st.sampled_from([0.6, 37.5]),
+        seed=st.integers(0, 2**64 - 1),
+        n_trials=st.integers(1, 700),
+        chunk=st.sampled_from([1, 37, 600, pipeline._CHUNK]),
+    )
+    def test_kept_columns_at_any_chunk(self, theta, d, t0_ratio, seed, n_trials, chunk):
+        p = SimParams(w_bins=1, t0_ratio=t0_ratio, d=d, n_trials=n_trials, seed=seed)
+        blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p,
+                        keep_hidden=True)
+        sx, _, sz, _, lam2 = blk.hidden
+        windows = [1, 3, p.max_tag, p.max_tag + 1]
+        # the cache stays on, so chunk boundaries fall inside the kept columns
+        # and inside the jackknife blocks the tallies read from them
+        with mock.patch.object(pipeline, "_CHUNK", chunk):
+            engine = ThetaEngine(p)
+            expected = (-sx, -sz, lam2, blk.x1, blk.k1)
+            assert [(a.dtype, a.tobytes()) for a in engine._kept] == [
+                (a.dtype, a.tobytes()) for a in expected]
+            for n_blocks in (1, 7, 100):
+                got = engine.block_counts_at(theta, windows, n_blocks)
+                for w in windows:
+                    assert np.array_equal(got[w], tally_blocks(blk, w, n_blocks))
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, -math.pi / 2, 1.0])
+    @pytest.mark.parametrize("d", [0.0, 3.0])
+    def test_dropped_terms_are_signed_zeros(self, theta, d):
+        # each spin at each lambda; at some setting the local s_x * a_x is
+        # -0.0, s_z is +-0.0, or the projection is exactly +-0 or +-1
+        spins = np.array([
+            [-0.0, 1.0, -0.0], [0.0, -1.0, -0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, -0.0],
+            [0.0, -1.0, 0.0], [-0.0, -1.0, 0.0],
+            [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [1.0, -0.0, 0.0], [-1.0, 0.0, -0.0],
+            [0.0, 0.6, 0.8], [-0.0, -0.6, -0.8],
+            [-6.123233995736766e-17, 0.0, 1.0],  # cancels to +0 at pi/2
+        ])
+        lam = np.repeat([0.0, 1.0 - 2.0**-53], len(spins))
+        sx, sy, sz = np.tile(spins, (2, 1)).T
+        p = SimParams(w_bins=1, t0_ratio=37.5, d=d, n_trials=len(lam), seed=1)
+        (ax, ay, az), (zx, zy, zz) = Setting.from_polar(theta).vec, Setting.from_polar(0.0).vec
+        assert ay == 0.0 and (zx, zy, zz) == (0.0, 0.0, 1.0)
+
+        def law(c):
+            return _station_kernel(c, lam, p.t0_ratio, p.d)
+
+        three1, three2 = sx * zx + sy * zy + sz * zz, -sx * ax + -sy * ay + -sz * az
+        two2 = -sx * ax + -sz * az
+        if theta == math.pi / 2:  # the forms differ here in the sign of a zero
+            assert (np.signbit(three2) != np.signbit(two2)).any()
+        assert (np.signbit(three1) != np.signbit(sz)).any()
+        x1, k1 = law(three1.copy())
+        x2, k2 = law(three2.copy())
+        for (x, k), (x_ref, k_ref) in ((law(sz.copy()), (x1, k1)), (law(two2), (x2, k2))):
+            assert np.array_equal(x, x_ref) and np.array_equal(k, k_ref)
+
+        # the engine itself, fed these spins, counts every trial as the
+        # three-term law does, at every window
+        def crafted(seed, first, last, y=True):
+            return (sx[first:last].copy(), None, sz[first:last].copy(),
+                    lam[first:last].copy(), lam[first:last].copy())
+
+        with mock.patch.object(pipeline, "_hidden_arrays", crafted):
+            engine = ThetaEngine(p)
+        assert np.array_equal(engine._kept[3], x1) and np.array_equal(engine._kept[4], k1)
+        blk = TrialBlock(p, x1, k1, x2, k2)
+        windows = list(range(1, p.max_tag + 2))
+        got = engine.block_counts_at(theta, windows, n_blocks=len(lam))
+        assert all(np.array_equal(got[w], tally_blocks(blk, w, len(lam))) for w in windows)
+
+    def test_kept_memory(self):
+        def held(engine):
+            arrays = [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
+            arrays += [a for v in vars(engine).values() if isinstance(v, tuple)
+                       for a in v if isinstance(a, np.ndarray)]
+            return sum(a.nbytes for a in arrays)
+
+        p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=1001, seed=2)
+        assert held(ThetaEngine(p)) == 33 * p.n_trials
+        with mock.patch.object(pipeline, "_CACHE_LIMIT", p.n_trials):
+            assert held(ThetaEngine(p)) == 33 * p.n_trials
+        with mock.patch.object(pipeline, "_CACHE_LIMIT", p.n_trials - 1):
+            engine = ThetaEngine(p)
+        assert held(engine) == 0 and engine._kept is None
