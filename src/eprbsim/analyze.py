@@ -100,14 +100,14 @@ def analyze_external(path_a, path_b, settings_a, settings_b,
                            w_bins=w_bins)
 
 
-def synthetic_singlet_streams(angles_a, angles_b, n_pairs: int, seed: int,
-                              stride: int = 4) -> tuple[EventStream, EventStream]:
+def synthetic_singlet_streams(angles_a, angles_b, n_pairs: int,
+                              seed: int) -> tuple[EventStream, EventStream]:
     """Generate ideal-singlet time-tag streams for validation and demos.
 
     Each emission picks one setting per station uniformly, draws outcomes
     with the singlet statistics ``E = -cos(angle difference)`` and equal
-    single-particle marginals, and stamps both events with the same tag so
-    every pair is coincident.  Deterministic in ``seed``.
+    single-particle marginals, and stamps both events of emission ``n`` with
+    the tag ``4 * n``, so every pair is coincident.  Deterministic in ``seed``.
     """
     angles_a = [float(t) for t in angles_a]
     angles_b = [float(t) for t in angles_b]
@@ -118,7 +118,7 @@ def synthetic_singlet_streams(angles_a, angles_b, n_pairs: int, seed: int,
     diff = np.asarray(angles_a)[ia] - np.asarray(angles_b)[ib]
     p_same = 0.5 * (1.0 - np.cos(diff))  # P(x1 * x2 = +1) for E = -cos
     x2 = np.where(u[3] < p_same, x1, -x1).astype(np.int64)
-    k = np.arange(n_pairs, dtype=np.int64) * int(stride)
+    k = np.arange(n_pairs, dtype=np.int64) * 4
     return EventStream(k, ia, x1), EventStream(k, ib, x2)
 
 

@@ -312,7 +312,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit the window to a target combination")
     _add_param_flags(p, windowed=False)
-    p.add_argument("--target", type=float, default=None, required=True)
+    p.add_argument("--target", type=float, default=None)
     p.add_argument("--tolerance", type=float, default=None)
     p.set_defaults(func=_cmd_fit)
 

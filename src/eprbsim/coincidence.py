@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TrialBlock
+from .model import TrialBlock, check_window
 
 #: Default number of blocks for the delete-one jackknife.
 JACKKNIFE_BLOCKS = 100
@@ -75,17 +75,20 @@ def block_edges(n: int, n_blocks: int) -> np.ndarray:
     return np.linspace(0, n, min(n_blocks, n) + 1).astype(np.int64)
 
 
-def block_codes(x1: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Base codes ``4 * block + 2 * [x1 < 0]`` of the trials (add ``x2 < 0``)."""
-    spans = np.diff(edges)
-    codes = np.repeat(np.arange(0, 4 * len(spans), 4, dtype=np.int64), spans)
-    codes += 2 * (x1 < 0)
-    return codes
+def add_cells(out: np.ndarray, group: np.ndarray, x1, x2, spans) -> None:
+    """Add the cell counts of each span of trials into row ``b`` of ``out``.
 
-
-def block_cells(codes, dk, w_bins: int, n_blocks: int) -> np.ndarray:
-    """``(n_blocks, 4)`` cell counts of the trials with ``dk = |k1 - k2| < w_bins``."""
-    return np.bincount(codes[dk < w_bins], minlength=4 * n_blocks).reshape(n_blocks, 4)
+    A trial's cell code is ``4 * group + 2 * [x1 < 0] + [x2 < 0]``, formed in
+    place in ``group``, an integer array the caller no longer needs.  Row
+    ``b`` of ``out``, ``(len(spans) - 1, 4 * n_groups)``, gains the bincount
+    of the codes of trials ``spans[b]`` to ``spans[b + 1]``.
+    """
+    cell = (x1 < 0).view(np.int8) * np.int8(2)
+    cell += (x2 < 0).view(np.int8)
+    group *= 4
+    group += cell
+    for b in np.flatnonzero(np.diff(spans)):
+        out[b] += np.bincount(group[spans[b]:spans[b + 1]], minlength=out.shape[1])
 
 
 def tally(trials: TrialBlock, w_bins: int) -> CoincidenceCounts:
@@ -98,11 +101,12 @@ def tally(trials: TrialBlock, w_bins: int) -> CoincidenceCounts:
 def tally_blocks(trials: TrialBlock, w_bins: int,
                  n_blocks: int = JACKKNIFE_BLOCKS) -> np.ndarray:
     """``(n_blocks, 4)`` cell counts over ``n_blocks`` contiguous index slices."""
-    if w_bins < 1:
-        raise ValueError("w_bins must be >= 1")
+    w = check_window(w_bins)
     edges = block_edges(len(trials), n_blocks)
-    codes = block_codes(trials.x1, edges) + (trials.x2 < 0)
-    return block_cells(codes, np.abs(trials.k1 - trials.k2), w_bins, len(edges) - 1)
+    cells = np.zeros((len(edges) - 1, 8), dtype=np.int64)  # group 1: not coincident
+    add_cells(cells, (np.abs(trials.k1 - trials.k2) >= w).view(np.int8),
+              trials.x1, trials.x2, edges)
+    return cells[:, :4].copy()
 
 
 def jackknife_stderr_e(cells: np.ndarray) -> float | None:
@@ -171,17 +175,15 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
     or more in the merged tags; cut there, a segment of one event a side is a
     pair, and only segments with more events on both sides are walked.
     Entries are keyed by ``(setting_a, setting_b)``, one for every pair of
-    settings present, in sorted order; the pairs are tallied in the cell
-    layout of :func:`block_codes`, with the setting pair in place of the
-    block.  Each cell's ``n_total`` is the maximum number of pairs that cell
-    could have produced, ``min(count_a, count_b)`` of events carrying those
-    settings.
+    settings present, in sorted order; :func:`add_cells` tallies the pairs
+    with the setting pair as their group.  Each cell's ``n_total`` is the
+    maximum number of pairs that cell could have produced,
+    ``min(count_a, count_b)`` of events carrying those settings.
 
     ``stream_a`` and ``stream_b`` expose arrays ``k``, ``setting_index`` and
     ``x`` sorted by ``k`` (see :class:`eprbsim.ttag_io.EventStream`).
     """
-    if w_bins < 1:
-        raise ValueError("w_bins must be >= 1")
+    w_bins = check_window(w_bins)
     for name, s in (("stream_a", stream_a), ("stream_b", stream_b)):
         dk = np.diff(s.k)
         if len(dk) and int(dk.min()) < 0:
@@ -230,9 +232,10 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
     counts_a = np.bincount(stream_a.setting_index).tolist()
     counts_b = np.bincount(stream_b.setting_index).tolist()
     n_a, n_b = len(counts_a), len(counts_b)
-    codes = 4 * (stream_a.setting_index[pa] * n_b + stream_b.setting_index[pb])
-    codes += 2 * (stream_a.x[pa] < 0) + (stream_b.x[pb] < 0)
-    cells = np.bincount(codes, minlength=4 * n_a * n_b).reshape(n_a, n_b, 4)
+    cells = np.zeros((1, 4 * n_a * n_b), dtype=np.int64)
+    add_cells(cells, stream_a.setting_index[pa] * n_b + stream_b.setting_index[pb],
+              stream_a.x[pa], stream_b.x[pb], [0, len(pa)])
+    cells = cells.reshape(n_a, n_b, 4)
     return {
         (a, b): CoincidenceCounts.from_cells(cells[a, b], min(count_a, count_b))
         for a, count_a in enumerate(counts_a) if count_a

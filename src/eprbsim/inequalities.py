@@ -8,8 +8,7 @@ The maximum of a noisy curve is biased upward, so the reported combination is
 not read off that curve: each of the four legs (setting pairs) is estimated
 afresh at the chosen angles on its own independent ensemble of the same size,
 and the selection-time value is kept alongside for comparison.
-The coincidence-frequency infimum is the grid minimum refined by a
-golden-section step around the argmin.
+The coincidence-frequency infimum is the minimum over the selection grid.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ CHSH_BOUND = 2.0
 THETA_STEP = math.pi / 72
 
 _COARSE_STEP = math.pi / 36  # spacing of the coarse angle-quadruple grid
-_REFINE_TOL = math.pi / 720  # golden-section termination width of both refinements
+_REFINE_TOL = math.pi / 720  # golden-section termination width of the quadruple refinement
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -191,18 +190,10 @@ class _CurveMaximizer:
         return best_s, tuple(t % (2.0 * math.pi) for t in best)
 
 
-def _gamma_infimum(engine: ThetaEngine, thetas, gammas, w_bins: int) -> GammaInfimum:
-    """Grid minimum of the coincidence frequency plus a refinement step."""
+def _gamma_infimum(thetas, gammas) -> GammaInfimum:
+    """Grid minimum of the coincidence frequency and its angle."""
     idx = int(np.argmin(gammas))
-    best_g = float(gammas[idx])
-    best_t = float(thetas[idx])
-    step = float(thetas[1] - thetas[0])
-    lo = max(0.0, best_t - step)
-    hi = min(math.pi, best_t + step)
-    t, neg_g = _golden_max(lambda th: -engine.gamma_at(th, w_bins), lo, hi, _REFINE_TOL)
-    if -neg_g < best_g:
-        best_g, best_t = -neg_g, t
-    return GammaInfimum(gamma=best_g, theta=best_t)
+    return GammaInfimum(gamma=float(gammas[idx]), theta=float(thetas[idx]))
 
 
 #: The last selection engine, keyed by its ensemble ``(seed, t0_ratio, d, n_trials)``.
@@ -233,16 +224,14 @@ def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
 
     The selection ensemble does not depend on the window, so calls that
     differ only in ``params.w_bins`` share it, with its per-angle tallies:
-    a repeated grid or refinement angle is read off the kept tally at the
-    new window.  At most one selection ensemble stays alive after a call;
-    it is freed when a call with another seed, ``t0_ratio``, ``d`` or
-    ``n_trials`` arrives.  The four held-out legs are built and dropped one
-    at a time on every call.
+    a repeated grid angle is read off the kept tally at the new window.  At
+    most one selection ensemble stays alive after a call; it is freed when a
+    call with another seed, ``t0_ratio``, ``d`` or ``n_trials`` arrives.  The
+    four held-out legs are built and dropped one at a time on every call.
     """
     thetas = _theta_grid(theta_step)
-    w = params.w_bins
     engine = _selection_engine(params)
-    ests = [engine.estimate_at(float(t), w, n_blocks=1) for t in thetas]
+    ests = [engine.estimate_at(float(t), params.w_bins, n_blocks=1) for t in thetas]
     e_vals = np.array([est.e if est.e is not None else 0.0 for est in ests])
     undefined = [i for i, est in enumerate(ests) if est.e is None]
     if undefined:
@@ -261,7 +250,7 @@ def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
     s = s_value(*(leg.e for leg in legs))
     stderr_s = math.sqrt(sum((leg.stderr_e or 0.0) ** 2 for leg in legs))
 
-    inf = _gamma_infimum(engine, thetas, gammas, w)
+    inf = _gamma_infimum(thetas, gammas)
     return SReport(
         s=s,
         gamma_inf=inf.gamma,
@@ -279,8 +268,7 @@ def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
 def min_gamma(params: SimParams, thetas=None) -> GammaInfimum:
     """Minimum estimated coincidence frequency over a theta grid.
 
-    The grid must cover [0, pi]; the grid minimum is refined by a
-    golden-section step around the argmin at the same seed.
+    The grid must cover [0, pi]; the grid minimum and its angle are reported.
     """
     if thetas is None:
         grid = _theta_grid(THETA_STEP)
@@ -290,4 +278,4 @@ def min_gamma(params: SimParams, thetas=None) -> GammaInfimum:
             raise ValueError("theta grid must cover [0, pi]")
     engine = ThetaEngine(params)
     gammas = np.array([engine.gamma_at(float(t)) for t in grid])
-    return _gamma_infimum(engine, grid, gammas, params.w_bins)
+    return _gamma_infimum(grid, gammas)

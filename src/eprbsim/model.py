@@ -37,6 +37,13 @@ def _integral(value) -> bool:
         return False
 
 
+def check_window(w_bins) -> int:
+    """The coincidence window ``w_bins`` as an ``int``; ValueError unless an integer >= 1."""
+    if not _integral(w_bins) or w_bins < 1:
+        raise ValueError(f"w_bins must be an integer >= 1, got {w_bins!r}")
+    return int(w_bins)
+
+
 @dataclass(frozen=True)
 class SimParams:
     """The four model parameters plus the master seed.
@@ -55,8 +62,7 @@ class SimParams:
     seed: int = 1
 
     def __post_init__(self):
-        if not _integral(self.w_bins) or self.w_bins < 1:
-            raise ValueError(f"w_bins must be an integer >= 1, got {self.w_bins!r}")
+        check_window(self.w_bins)
         if not (self.t0_ratio > 0 and math.isfinite(self.t0_ratio)):
             raise ValueError(f"t0_ratio must be positive and finite, got {self.t0_ratio!r}")
         if not (self.d >= 0 and math.isfinite(self.d)):

@@ -21,10 +21,11 @@ from .coincidence import (
     CorrelationEstimate,
     JACKKNIFE_BLOCKS,
     CoincidenceCounts,
+    add_cells,
     block_edges,
     estimate,
 )
-from .model import Setting, SimParams, _hidden_arrays, _station_kernel
+from .model import Setting, SimParams, _hidden_arrays, _station_kernel, check_window
 
 _CACHE_LIMIT = 8 * 10**6  # largest ensemble kept between calls, in trials
 _CHUNK = 1 << 15  # trials per pass of a build, a tally or a regeneration; fits in L2
@@ -49,8 +50,8 @@ class ThetaEngine:
     Building, tallying and regenerating all go ``_CHUNK`` trials at a time,
     so no temporary spans the ensemble.
 
-    One tally of an angle counts every window at once: one ``bincount`` of
-    ``4 * |k1 - k2| + 2 * [x1 < 0] + [x2 < 0]`` per jackknife block, summed
+    One tally of an angle counts every window at once: ``add_cells`` with
+    ``|k1 - k2|`` as the group, one ``bincount`` per jackknife block, summed
     cumulatively over ``|k1 - k2|``.  The merged (one-block) table of each
     angle tallied without blocks is kept, ``4 * (max_tag + 1)`` int32 counts
     (int64 from ``2**31`` trials), 16 kB at ``t0_ratio = 1000``, so a
@@ -92,8 +93,7 @@ class ThetaEngine:
         """
         p, n = self.params, self.params.n_trials
         ax, _, az = Setting.from_polar(theta).vec  # its y component is 0
-        size = 4 * (top + 1)
-        hist = np.zeros((len(edges) - 1, size), dtype=np.int64)
+        hist = np.zeros((len(edges) - 1, 4 * (top + 1)), dtype=np.int64)
         c, term = np.empty((2, min(n, _CHUNK)))
         scratch = _columns(len(c)) if self._kept is None else None
         for lo in range(0, n, _CHUNK):
@@ -110,13 +110,7 @@ class ThetaEngine:
             np.abs(dk, out=dk)
             if top < p.max_tag:
                 np.minimum(dk, top, out=dk)
-            cell = (x1 < 0).view(np.int8) * np.int8(2)  # the cell layout of block_codes
-            cell += (x2 < 0).view(np.int8)
-            dk *= 4
-            dk += cell
-            spans = np.clip(edges, lo, lo + m) - lo
-            for b in np.flatnonzero(np.diff(spans)):
-                hist[b] += np.bincount(dk[spans[b]:spans[b + 1]], minlength=size)
+            add_cells(hist, dk, x1, x2, np.clip(edges, lo, lo + m) - lo)
         return np.cumsum(hist.reshape(len(hist), top + 1, 4), axis=1)
 
     def block_counts_at(self, theta: float, w_bins=None,
@@ -131,9 +125,7 @@ class ThetaEngine:
         """
         windows = self.params.w_bins if w_bins is None else w_bins
         single = np.isscalar(windows)
-        window_list = [int(windows)] if single else list(dict.fromkeys(int(w) for w in windows))
-        if any(w < 1 for w in window_list):
-            raise ValueError("w_bins must be >= 1")
+        window_list = list(dict.fromkeys(map(check_window, [windows] if single else windows)))
 
         edges = block_edges(self.params.n_trials, n_blocks)
         top = min(self.params.max_tag, max(window_list))

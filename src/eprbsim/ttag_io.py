@@ -131,22 +131,16 @@ def read_events(path) -> EventStream:
 
 
 def export_station_streams(block: TrialBlock, setting_index_1: int = 0,
-                           setting_index_2: int = 0, stride: int | None = None
-                           ) -> tuple[EventStream, EventStream]:
+                           setting_index_2: int = 0) -> tuple[EventStream, EventStream]:
     """Lay a trial block out as two absolute-time station streams.
 
-    Trial ``n`` occupies its own time slot of ``stride`` bins, so events from
-    different trials can never fall inside one coincidence window and greedy
-    stream matching recovers exactly the per-trial pairing.  The default
-    stride, twice the maximum tag plus two, is safe for every window the
-    model admits.
+    Trial ``n`` occupies its own time slot of ``2 * (max_tag + 1)`` bins, so
+    events from different trials can never fall inside one coincidence
+    window the model admits and greedy stream matching recovers exactly the
+    per-trial pairing.
     """
     params: SimParams = block.params
-    if stride is None:
-        stride = 2 * (params.max_tag + 1)
-    if stride <= params.max_tag:
-        raise ValueError("stride must exceed the maximum tag bin")
-    base = np.arange(len(block), dtype=np.int64) * int(stride)
+    base = np.arange(len(block), dtype=np.int64) * (2 * (params.max_tag + 1))
     s1 = np.full(len(block), setting_index_1, dtype=np.int64)
     s2 = np.full(len(block), setting_index_2, dtype=np.int64)
     return (

@@ -1,7 +1,7 @@
 """Per-trial scalar oracle for the library's array path.
 
 The library simulates trials only in bulk: ``uniform_block`` ->
-``_hidden_arrays`` -> ``_station_kernel`` -> ``block_cells``.  This module
+``_hidden_arrays`` -> ``_station_kernel`` -> ``add_cells``.  This module
 replays one trial at a time, as the model is stated:
 
 * SplitMix64 in plain Python integers, sharing no code with ``eprbsim.rng``;

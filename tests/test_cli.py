@@ -121,6 +121,20 @@ class TestConfigPrecedence:
         _, out_flags, _ = run_cli(capsys, "simulate", *base, flag, value)
         assert out_mixed == out_flags
 
+    def test_config_supplies_fit_target(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("target = 2.5\n")
+        code, out_cfg, _ = run_cli(capsys, "fit", *BASE, "--config", str(cfg))
+        assert code == 0
+        assert out_cfg == run_cli(capsys, "fit", *BASE, "--target", "2.5")[1]
+
+    def test_missing_fit_target(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 20000\n")
+        code, _, err = run_cli(capsys, "fit", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("usage error:") and "--target" in err
+
     def test_bad_config_value(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = lots\n")

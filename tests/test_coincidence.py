@@ -11,14 +11,16 @@ from eprbsim import (
     SimParams,
     ThetaEngine,
     TrialBlock,
+    analyze_streams,
     estimate,
     estimate_block,
+    export_station_streams,
     match_streams,
     run_pairs,
     tally,
     tally_blocks,
 )
-from eprbsim.coincidence import block_cells, jackknife_stderr_e
+from eprbsim.coincidence import jackknife_stderr_e
 from eprbsim.ttag_io import EventStream
 
 from . import reference
@@ -31,9 +33,8 @@ def block(rows):
 
 
 def coincide(k1, k2, w_bins):
-    """Whether ``block_cells`` counts a trial with tag bins ``k1`` and ``k2``."""
-    cells = block_cells(np.zeros(1, np.int64), np.array([abs(k1 - k2)]), w_bins, 1)
-    return int(cells.sum()) == 1
+    """Whether ``tally_blocks`` counts a trial with tag bins ``k1`` and ``k2``."""
+    return int(tally_blocks(block([(1, k1, 1, k2)]), w_bins, 1).sum()) == 1
 
 
 class TestCoincide:
@@ -62,6 +63,39 @@ class TestCoincide:
     def test_monotone_in_window(self, k1, k2, w):
         if coincide(k1, k2, w):
             assert coincide(k1, k2, w + 1)
+
+
+@pytest.mark.parametrize("w_bins, valid", [
+    (1.5, False), (math.nan, False), (math.inf, False), (0, False), (-2, False),
+    (1, True), (2.0, True), (np.int64(16), True), (39, True),  # 39 is max_tag + 1
+], ids=repr)
+def test_one_window_rule(w_bins, valid):
+    """Every tally path checks the window alike and counts the oracle's cells."""
+    p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=2000, seed=3)
+    blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(1.0), p)
+    engine = ThetaEngine(p)
+    s1, s2 = export_station_streams(blk)
+    if not valid:
+        for call in (lambda: tally(blk, w_bins),
+                     lambda: tally_blocks(blk, w_bins),
+                     lambda: engine.block_counts_at(1.0, w_bins),
+                     lambda: engine.block_counts_at(1.0, [1, w_bins]),
+                     lambda: engine.estimate_at(1.0, w_bins),
+                     lambda: engine.gamma_at(1.0, w_bins),
+                     lambda: match_streams(s1, s2, w_bins),
+                     lambda: analyze_streams(s1, s2, 1, 1, w_bins)):
+            with pytest.raises(ValueError, match="w_bins"):
+                call()
+        return
+    rows = zip(*(col.tolist() for col in (blk.x1, blk.k1, blk.x2, blk.k2)))
+    ref = reference.tally(rows, w_bins)
+    expected = [ref.n_pp, ref.n_pm, ref.n_mp, ref.n_mm]
+    matched = match_streams(s1, s2, w_bins)[(0, 0)]
+    for got in (engine.block_counts_at(1.0, w_bins, 1)[0],
+                engine.block_counts_at(1.0, [w_bins], 7)[int(w_bins)].sum(axis=0),
+                tally_blocks(blk, w_bins, 1)[0],
+                [matched.n_pp, matched.n_pm, matched.n_mp, matched.n_mm]):
+        assert list(got) == expected
 
 
 class TestTally:

@@ -191,12 +191,6 @@ class TestExport:
         # cross-trial separation exceeds any admissible window
         assert np.min(np.diff(s1.k)) >= stride - p.max_tag > p.max_tag + 1
 
-    def test_stride_guard(self):
-        p = SimParams(w_bins=1, t0_ratio=50.0, d=3.0, n_trials=10, seed=9)
-        blk = run_pairs(Setting.from_polar(0), Setting.from_polar(0.8), p)
-        with pytest.raises(ValueError):
-            export_station_streams(blk, stride=10)
-
 
 class TestResultsCsv:
     def test_reals_round_trip(self, tmp_path):
