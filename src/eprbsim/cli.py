@@ -18,7 +18,7 @@ from .analyze import analyze_external, report_rows
 from .coincidence import estimate_block, singles_means
 from .errors import EprbError, UsageError
 from .inequalities import THETA_STEP, _theta_grid, maximize_S
-from .model import Setting, SimParams, run_pairs
+from .model import Setting, SimParams, check_window, run_pairs
 from .oracles import gamma_limit, quantum_E, raw_sign_E
 from .scenarios import (
     DEFAULT_PARAMS,
@@ -250,12 +250,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    w_bins = _checked(check_window, _resolve(args, "w_bins"))
     settings_a = _parse_angles(args.settings_a)
     settings_b = _parse_angles(args.settings_b)
     if not settings_a or not settings_b:
         raise UsageError("settings tables must be non-empty")
     report = analyze_external(args.file_a, args.file_b, settings_a, settings_b,
-                              w_bins=_resolve(args, "w_bins"))
+                              w_bins=w_bins)
     print("kind,setting_a,setting_b,e,stderr_e,gamma,n_coinc,n_total")
     for row in report_rows(report):
         print(",".join("" if v is None else

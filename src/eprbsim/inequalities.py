@@ -231,7 +231,7 @@ def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
     """
     thetas = _theta_grid(theta_step)
     engine = _selection_engine(params)
-    ests = [engine.estimate_at(float(t), params.w_bins, n_blocks=1) for t in thetas]
+    ests = engine.estimates_over(thetas, params.w_bins, n_blocks=1)
     e_vals = np.array([est.e if est.e is not None else 0.0 for est in ests])
     undefined = [i for i, est in enumerate(ests) if est.e is None]
     if undefined:
@@ -276,6 +276,5 @@ def min_gamma(params: SimParams, thetas=None) -> GammaInfimum:
         grid = np.asarray(sorted(float(t) for t in thetas))
         if len(grid) < 2 or grid[0] > 1e-9 or grid[-1] < math.pi - 1e-9:
             raise ValueError("theta grid must cover [0, pi]")
-    engine = ThetaEngine(params)
-    gammas = np.array([engine.gamma_at(float(t)) for t in grid])
+    gammas = np.array([est.gamma for est in ThetaEngine(params).estimates_over(grid, n_blocks=1)])
     return _gamma_infimum(grid, gammas)

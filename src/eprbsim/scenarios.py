@@ -66,8 +66,8 @@ def _window_sweeps(params: SimParams, windows, thetas) -> tuple[SweepResult, ...
         raise ValueError("theta grid must be strictly increasing")
     engine = ThetaEngine(params)
     rows: dict[int, list[SweepRow]] = {int(w): [] for w in windows}
-    for t in grid:
-        for w, blocks in engine.block_counts_at(t, list(rows)).items():
+    for t, cells in zip(grid, engine.block_counts_over(grid, list(rows))):
+        for w, blocks in cells.items():
             est = estimate(CoincidenceCounts.from_cells(blocks, params.n_trials), blocks)
             rows[w].append(SweepRow(theta=t, e=est.e, stderr_e=est.stderr_e,
                                     gamma=est.gamma, n_coinc=est.n_coinc))
@@ -261,8 +261,7 @@ def _scenario_oracle_check(params: SimParams, out: Path) -> dict[str, Path]:
     grid = np.linspace(math.pi / 6, 5 * math.pi / 6, 9)
     engine = ThetaEngine(replace(params, w_bins=1))
     rows = []
-    for t in grid:
-        est = engine.estimate_at(float(t), w_bins=1, n_blocks=1)
+    for t, est in zip(grid, engine.estimates_over(grid, w_bins=1, n_blocks=1)):
         limit = gamma_limit(float(t), params.d)
         rows.append([float(t), limit, est.gamma * params.t0_ratio,
                      est.gamma * params.t0_ratio - limit])

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from eprbsim import EventStream, write_events
 from eprbsim.cli import main
 
 
@@ -46,6 +47,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("usage error:") and named in err
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_analyze_invalid_window_rejected(self, capsys, tmp_path, via_config):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path in (a, b):
+            write_events(EventStream([0], [0], [1]), path)
+        argv = ["analyze", "--file-a", str(a), "--file-b", str(b),
+                "--settings-a", "0", "--settings-b", "0"]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("w_bins = 0\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--w-bins", "0"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "w_bins" in err
 
     def test_missing_analyze_file(self, capsys, tmp_path):
         code, _, err = run_cli(

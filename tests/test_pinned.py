@@ -34,9 +34,9 @@ from eprbsim import (
     uniform_block,
     write_events,
 )
-from eprbsim import pipeline
+from eprbsim import model, pipeline
 from eprbsim.cli import main
-from eprbsim.model import _station_kernel
+from eprbsim.model import _half_power, _station_kernel
 from eprbsim.ttag_io import read_manifest
 
 from . import reference
@@ -159,6 +159,18 @@ class TestPinnedMatching:
             assert c.n_total == 2 * n  # min of per-setting event counts
 
 
+# each spin at each lambda; at some setting the local s_x * a_x is -0.0, s_z
+# is +-0.0, or the projection is exactly +-0 or +-1
+_CRAFTED_SPINS = np.array([
+    [-0.0, 1.0, -0.0], [0.0, -1.0, -0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, -0.0],
+    [0.0, -1.0, 0.0], [-0.0, -1.0, 0.0],
+    [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [1.0, -0.0, 0.0], [-1.0, 0.0, -0.0],
+    [0.0, 0.6, 0.8], [-0.0, -0.6, -0.8],
+    [-6.123233995736766e-17, 0.0, 1.0],  # cancels to +0 at pi/2
+])
+_CRAFTED_THETAS = [0.0, math.pi / 2, math.pi, -math.pi / 2, 1.0]
+
+
 class TestEngineMatchesReferenceTally:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -208,6 +220,91 @@ class TestEngineMatchesReferenceTally:
             assert hit[w].dtype == np.int64
         assert gammas == [int(tally_blocks(blk, w, 1).sum()) / p.n_trials for w in windows]
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        thetas=st.lists(st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+                        min_size=1, max_size=5),
+        n_blocks=st.sampled_from([1, 7, 100]),
+        d=st.sampled_from([0.0, 2.2, 3.0, 5.0]),
+        t0_ratio=st.sampled_from([0.6, 37.5]),
+        seed=st.integers(0, 2**64 - 1),
+        n_trials=st.integers(1, 300),
+        chunk=st.sampled_from([1, 37, 600, pipeline._CHUNK]),
+        cached=st.booleans(),
+        budget=st.sampled_from([1, 2500, pipeline._TABLE_BUDGET]),
+    )
+    def test_batch_matches_reference_at_every_angle(self, data, thetas, n_blocks, d, t0_ratio,
+                                                    seed, n_trials, chunk, cached, budget):
+        p = SimParams(w_bins=1, t0_ratio=t0_ratio, d=d, n_trials=n_trials, seed=seed)
+        windows = data.draw(st.lists(st.integers(1, p.max_tag + 1), min_size=1, max_size=3))
+        thetas = thetas + thetas[:1]  # a repeated angle
+        # a small budget splits the batch into groups of one or two angles
+        with mock.patch.multiple(pipeline, _CHUNK=chunk, _TABLE_BUDGET=budget,
+                                 _CACHE_LIMIT=pipeline._CACHE_LIMIT if cached else 0):
+            engine = ThetaEngine(p)
+            got = engine.block_counts_over(thetas, windows, n_blocks)
+            merged = engine.block_counts_over(thetas, windows, 1)
+            with mock.patch.object(pipeline, "_station_kernel", side_effect=AssertionError):
+                hit = engine.block_counts_over(thetas, windows, 1)  # every angle is kept
+        assert len(got) == len(merged) == len(hit) == len(thetas)
+        for theta, cells, one, again in zip(thetas, got, merged, hit):
+            blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
+            assert list(cells) == list(one) == list(again) == list(dict.fromkeys(windows))
+            for w in windows:
+                assert np.array_equal(cells[w], tally_blocks(blk, w, n_blocks))
+                assert np.array_equal(one[w], tally_blocks(blk, w, 1))
+                assert np.array_equal(again[w], one[w])
+
+    def test_table_limit(self):
+        p = SimParams(w_bins=10**9, t0_ratio=1e9, d=3.0, n_trials=5, seed=1)
+        engine = ThetaEngine(p)
+        with mock.patch.object(ThetaEngine, "_cumulative", side_effect=AssertionError):
+            for n_blocks in (1, 100):  # 32 and 160 GB
+                with pytest.raises(ValueError, match="count table") as err:
+                    engine.block_counts_at(1.0, n_blocks=n_blocks)
+                for named in ("w_bins=1000000000", "t0_ratio=1000000000.0",
+                              f"n_blocks={n_blocks}"):
+                    assert named in str(err.value)
+        # a narrow window needs a narrow table at any t0_ratio
+        blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(1.0), p)
+        for n_blocks in (1, 100):
+            assert np.array_equal(engine.block_counts_at(1.0, 3, n_blocks),
+                                  tally_blocks(blk, 3, n_blocks))
+        # the limit is inclusive: 7 blocks of max_tag + 1 = 39 rows of 4 int64 counts
+        p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=50, seed=1)
+        engine = ThetaEngine(p)
+        with mock.patch.object(pipeline, "_TABLE_LIMIT", 32 * 39 * 7):
+            engine.block_counts_at(1.0, 39, 7)
+        with mock.patch.object(pipeline, "_TABLE_LIMIT", 32 * 39 * 7 - 1), \
+                pytest.raises(ValueError, match="n_blocks=7"):
+            engine.block_counts_at(1.0, 39, 7)
+
+    @pytest.mark.parametrize("t0_ratio, d", [(1000.0, 3.0), (1.025, 3.0), (1000.0, 5.0),
+                                             (37.5, 0.0)])
+    def test_product_law_matches_power(self, t0_ratio, d):
+        # the crafted spins' components and projections, then 10^6 seeded ones
+        crafted = np.concatenate([_CRAFTED_SPINS.ravel()] + [
+            _CRAFTED_SPINS[:, 0] * a[0] + _CRAFTED_SPINS[:, 1] * a[1] + _CRAFTED_SPINS[:, 2] * a[2]
+            for a in (Setting.from_polar(t).vec for t in _CRAFTED_THETAS)])
+        u = uniform_block(7, 0, 10**6, 2)
+        c = np.concatenate([crafted, crafted, 2.0 * u[0] - 1.0])
+        lam = np.concatenate([np.repeat([0.0, 1.0 - 2.0**-53], len(crafted)), u[1]])
+        with mock.patch.object(model, "_PRODUCT_D", -1):  # np.power at every d
+            x_pow, k_pow = _station_kernel(c.copy(), lam, t0_ratio, d)
+            pow_u = np.maximum(1.0 - c * c, 0.0)
+            _half_power(pow_u, d)
+        x, k = _station_kernel(c.copy(), lam, t0_ratio, d)
+        neg, k_out = _station_kernel(c.copy(), lam, t0_ratio, d,
+                                     out=(np.empty(len(c), dtype=bool),
+                                          np.empty(len(c), dtype=np.int64)))
+        assert np.array_equal(x, x_pow) and np.array_equal(k, k_pow)
+        assert np.array_equal(neg, x_pow < 0) and np.array_equal(k_out, k_pow)
+        # the forms really differ, in the last ulp of some u ** (d / 2)
+        prod_u = np.maximum(1.0 - c * c, 0.0)
+        _half_power(prod_u, d)
+        assert (prod_u != pow_u).any() == (d != 0)
+
     def test_returned_counts_are_copies(self):
         p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=2000, seed=4)
         engine = ThetaEngine(p)
@@ -256,18 +353,10 @@ class TestEngineMatchesReferenceTally:
                 for w in windows:
                     assert np.array_equal(got[w], tally_blocks(blk, w, n_blocks))
 
-    @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, -math.pi / 2, 1.0])
+    @pytest.mark.parametrize("theta", _CRAFTED_THETAS)
     @pytest.mark.parametrize("d", [0.0, 3.0])
     def test_dropped_terms_are_signed_zeros(self, theta, d):
-        # each spin at each lambda; at some setting the local s_x * a_x is
-        # -0.0, s_z is +-0.0, or the projection is exactly +-0 or +-1
-        spins = np.array([
-            [-0.0, 1.0, -0.0], [0.0, -1.0, -0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, -0.0],
-            [0.0, -1.0, 0.0], [-0.0, -1.0, 0.0],
-            [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [1.0, -0.0, 0.0], [-1.0, 0.0, -0.0],
-            [0.0, 0.6, 0.8], [-0.0, -0.6, -0.8],
-            [-6.123233995736766e-17, 0.0, 1.0],  # cancels to +0 at pi/2
-        ])
+        spins = _CRAFTED_SPINS
         lam = np.repeat([0.0, 1.0 - 2.0**-53], len(spins))
         sx, sy, sz = np.tile(spins, (2, 1)).T
         p = SimParams(w_bins=1, t0_ratio=37.5, d=d, n_trials=len(lam), seed=1)
