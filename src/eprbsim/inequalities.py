@@ -9,6 +9,10 @@ not read off that curve: each of the four legs (setting pairs) is estimated
 afresh at the chosen angles on its own independent ensemble of the same size,
 and the selection-time value is kept alongside for comparison.
 The coincidence-frequency infimum is the minimum over the selection grid.
+
+The selection grid's cell counts at every window are kept between calls, so
+a scan over windows at one seed (``fit_window``) tallies the grid once; the
+selection ensemble itself is dropped as soon as it is tallied.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from .coincidence import CoincidenceCounts, estimate
 from .errors import FitError
 from .model import SimParams
 from .pipeline import ThetaEngine
@@ -32,6 +37,7 @@ THETA_STEP = math.pi / 72
 _COARSE_STEP = math.pi / 36  # spacing of the coarse angle-quadruple grid
 _REFINE_TOL = math.pi / 720  # golden-section termination width of the quadruple refinement
 _GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+_MEMO_TOP = 4096  # widest window the selection table resolves unless a wider one is asked
 
 
 def s_value(e_ac: float, e_ad: float, e_bc: float, e_bd: float) -> float:
@@ -187,7 +193,7 @@ class _CurveMaximizer:
                     improved = True
             if not improved:
                 break
-        return best_s, tuple(t % (2.0 * math.pi) for t in best)
+        return best_s, tuple(float(t % (2.0 * math.pi)) for t in best)
 
 
 def _gamma_infimum(thetas, gammas) -> GammaInfimum:
@@ -196,17 +202,29 @@ def _gamma_infimum(thetas, gammas) -> GammaInfimum:
     return GammaInfimum(gamma=float(gammas[idx]), theta=float(thetas[idx]))
 
 
-#: The last selection engine, keyed by its ensemble ``(seed, t0_ratio, d, n_trials)``.
-_selection: dict[tuple, ThetaEngine] = {}
+#: The last selection table, keyed by its ensemble and grid
+#: ``(seed, t0_ratio, d, n_trials, grid)``: ``table[w - 1]`` holds the one-block
+#: cell counts of every grid angle at window ``w``.
+_selection: dict[tuple, np.ndarray] = {}
 
 
-def _selection_engine(params: SimParams) -> ThetaEngine:
-    """The selection engine of ``params``' ensemble, shared by every window."""
-    key = (params.seed, params.t0_ratio, params.d, params.n_trials)
-    if key not in _selection:
-        _selection.clear()  # free the old ensemble before building the new one
-        _selection[key] = ThetaEngine(params)
-    return _selection[key]
+def _selection_cells(params: SimParams, thetas: np.ndarray) -> np.ndarray:
+    """The ``(len(thetas), 4)`` cell counts of the selection grid at ``params.w_bins``.
+
+    The grid is tallied once at every window up to ``min(max_tag, max(w,
+    _MEMO_TOP)) + 1``, which is every window when it passes ``max_tag``, and
+    that table is kept: a call that differs only in a window the table
+    resolves reads its row and tallies nothing, and a wider window rebuilds
+    it.  The selection engine is dropped as soon as the table is made.
+    """
+    key = (params.seed, params.t0_ratio, params.d, params.n_trials, tuple(thetas.tolist()))
+    w, table = params.w_bins, _selection.get(key)
+    if table is None or (len(table) < w and len(table) <= params.max_tag):
+        _selection.clear()  # free the old table before tallying the new one
+        rows = min(params.max_tag, max(w, _MEMO_TOP)) + 1
+        counts = ThetaEngine(params).block_counts_over(thetas, range(1, rows + 1), n_blocks=1)
+        table = _selection[key] = np.array(list(counts.values()))[:, :, 0]
+    return table[min(w, len(table)) - 1]
 
 
 def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
@@ -222,16 +240,17 @@ def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
     coincidence infimum over the selection grid is reported alongside the
     trivial, CHSH-form and post-selection bounds.
 
-    The selection ensemble does not depend on the window, so calls that
-    differ only in ``params.w_bins`` share it, with its per-angle tallies:
-    a repeated grid angle is read off the kept tally at the new window.  At
-    most one selection ensemble stays alive after a call; it is freed when a
-    call with another seed, ``t0_ratio``, ``d`` or ``n_trials`` arrives.  The
-    four held-out legs are built and dropped one at a time on every call.
+    The selection grid's counts do not depend on the window, so calls that
+    differ only in ``params.w_bins`` share one tally of it: its cell counts
+    at every window are kept, and the selection ensemble is dropped once
+    they are made, before any leg is built.  At most one such table stays
+    alive after a call; it is freed when a call with another seed,
+    ``t0_ratio``, ``d``, ``n_trials`` or grid arrives.  The four held-out
+    legs are built and dropped one at a time on every call.
     """
     thetas = _theta_grid(theta_step)
-    engine = _selection_engine(params)
-    ests = engine.estimates_over(thetas, params.w_bins, n_blocks=1)
+    ests = [estimate(CoincidenceCounts.from_cells(cells, params.n_trials))
+            for cells in _selection_cells(params, thetas)]
     e_vals = np.array([est.e if est.e is not None else 0.0 for est in ests])
     undefined = [i for i, est in enumerate(ests) if est.e is None]
     if undefined:
@@ -274,6 +293,8 @@ def min_gamma(params: SimParams, thetas=None) -> GammaInfimum:
         grid = _theta_grid(THETA_STEP)
     else:
         grid = np.asarray(sorted(float(t) for t in thetas))
+        if any(not 0.0 <= t <= math.pi for t in grid):
+            raise ValueError("theta grid must lie inside [0, pi]")
         if len(grid) < 2 or grid[0] > 1e-9 or grid[-1] < math.pi - 1e-9:
             raise ValueError("theta grid must cover [0, pi]")
     gammas = np.array([est.gamma for est in ThetaEngine(params).estimates_over(grid, n_blocks=1)])

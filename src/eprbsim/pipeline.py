@@ -35,7 +35,6 @@ _CACHE_LIMIT = 8 * 10**6  # largest ensemble kept between calls, in trials
 _CHUNK = 1 << 15  # trials per pass of a build, a tally or a regeneration; fits in L2
 _TABLE_BUDGET = 2 << 20  # bytes of count tables one pass over the ensemble fills
 _TABLE_LIMIT = 1 << 28  # bytes of one angle's count table
-_MEMO_TOP = 4096  # widest window a merged table resolves unless a wider one is asked
 
 
 def _columns(n: int):
@@ -65,13 +64,8 @@ class ThetaEngine:
     angle's int64 table takes ``32 * (top + 1)`` bytes a block, ``top``
     being the widest window it resolves (915 kB at 100 blocks and
     ``top = 285``), so a pass holds as many angles as fit ``_TABLE_BUDGET``.
-
-    The merged (one-block) table of each angle tallied without blocks is
-    kept, ``4 * (max_tag + 1)`` int32 counts (int64 from ``2**31`` trials),
-    16 kB at ``t0_ratio = 1000``, so a repeated angle costs no kernel call at
-    any window; ``gamma_at`` reads it.  Beyond a ``max_tag`` of
-    ``_MEMO_TOP`` a kept table stops at the widest window asked so far, or at
-    ``_MEMO_TOP`` if that is wider.
+    The engine keeps only its ensemble: each call tallies its angles afresh,
+    at any number of blocks, through the same passes.
     """
 
     def __init__(self, params: SimParams, first_trial: int = 0):
@@ -86,7 +80,6 @@ class ThetaEngine:
             for lo in range(0, n, _CHUNK):
                 self._build(lo, *(col[lo:lo + _CHUNK] for col in kept))
             self._kept = kept
-        self._merged: dict[float, np.ndarray] = {}
 
     def _build(self, lo: int, sx, sz, lam2, x1, k1) -> None:
         """Write the chunk of trials from ``lo`` into the given ``_columns`` views."""
@@ -150,17 +143,15 @@ class ThetaEngine:
         return np.cumsum(table, axis=2, out=table)
 
     def block_counts_over(self, thetas, w_bins=None,
-                          n_blocks: int = JACKKNIFE_BLOCKS) -> list:
-        """Per-block cell counts at each angle of ``thetas``, for one or many windows.
+                          n_blocks: int = JACKKNIFE_BLOCKS):
+        """Per-block cell counts at every angle of ``thetas``, for one or many windows.
 
         ``w_bins`` may be an int, a sequence of ints, or None (the params
-        window).  Returns one entry per angle, in order: the
-        ``(n_blocks, 4)`` count array for a single window, or a dict of them
-        keyed by window, in first-seen order, for a sequence.  Every window of
-        an angle comes from one tally of it, and the distinct angles are
-        tallied together, in as few passes over the ensemble as
-        ``_TABLE_BUDGET`` allows.  With one block an angle's tally is the
-        engine's memo of it, so an angle already kept costs no pass.
+        window).  Returns the ``(len(thetas), n_blocks, 4)`` count array for a
+        single window, or a dict of them keyed by window, in first-seen
+        order, for a sequence.  Every window of an angle comes from one tally
+        of it, and the distinct angles are tallied together, in as few passes
+        over the ensemble as ``_TABLE_BUDGET`` allows.
         """
         windows = self.params.w_bins if w_bins is None else w_bins
         single = np.isscalar(windows)
@@ -177,41 +168,23 @@ class ThetaEngine:
                 f"limit (w_bins={max(window_list)}, t0_ratio={p.t0_ratio!r}, "
                 f"n_blocks={n_blocks}); ask for a narrower window or fewer blocks")
 
-        def rows(tables):  # the rows of the asked windows, copied off the tables
-            return tables[..., [min(w, tables.shape[-2]) - 1 for w in window_list], :]
+        def rows(tables):  # each angle's (windows, n_blocks, 4) rows, copied off the tables
+            asked = tables[..., [min(w, tables.shape[-2]) - 1 for w in window_list], :]
+            return asked.swapaxes(1, 2)
 
-        if len(edges) == 2:
-            self._remember(thetas, top)
-            picked = {t: rows(self._merged[t][None]) for t in thetas}
-        else:
-            picked = self._passes(list(dict.fromkeys(thetas)), edges, top, rows)
-        counts = []
-        for t in thetas:
-            cells = {w: picked[t][:, i].astype(np.int64) for i, w in enumerate(window_list)}
-            counts.append(cells[window_list[0]] if single else cells)
-        return counts
+        picked = self._passes(list(dict.fromkeys(thetas)), edges, top, rows)
+        counts = np.empty((len(window_list), len(thetas), len(edges) - 1, 4), dtype=np.int64)
+        for i, t in enumerate(thetas):
+            counts[:, i] = picked[t]
+        return counts[0] if single else dict(zip(window_list, counts))
 
     def block_counts_at(self, theta: float, w_bins=None,
                         n_blocks: int = JACKKNIFE_BLOCKS):
-        """``block_counts_over`` at one angle: its count array, or its dict of them."""
-        return self.block_counts_over([theta], w_bins, n_blocks)[0]
-
-    def _remember(self, thetas, top: int) -> None:
-        """Keep the merged ``(rows, 4)`` table of every angle, resolving windows up to ``top``.
-
-        The angles the memo lacks, or keeps narrower than ``top``, are tallied
-        together.  A table is built to ``max_tag``, so it serves every window,
-        unless ``max_tag`` exceeds both ``_MEMO_TOP`` and ``top``; then it is
-        rebuilt when a wider window is asked.
-        """
-        missing = [t for t in dict.fromkeys(thetas)
-                   if t not in self._merged or len(self._merged[t]) <= top]
-        if missing:
-            p = self.params
-            dtype = np.int32 if p.n_trials < 2**31 else np.int64
-            self._merged.update(self._passes(
-                missing, block_edges(p.n_trials, 1), min(p.max_tag, max(top, _MEMO_TOP)),
-                lambda tables: tables[:, 0].astype(dtype)))
+        """``block_counts_over`` at one angle: its ``(n_blocks, 4)`` array, or a dict of them."""
+        counts = self.block_counts_over([theta], w_bins, n_blocks)
+        if isinstance(counts, dict):
+            return {w: c[0] for w, c in counts.items()}
+        return counts[0]
 
     def _estimate(self, blocks: np.ndarray) -> CorrelationEstimate:
         return estimate(CoincidenceCounts.from_cells(blocks, self.params.n_trials), blocks)
@@ -225,10 +198,6 @@ class ThetaEngine:
                     n_blocks: int = JACKKNIFE_BLOCKS) -> CorrelationEstimate:
         """Jackknifed correlation estimate at one angle."""
         return self._estimate(self.block_counts_at(theta, w_bins, n_blocks))
-
-    def gamma_at(self, theta: float, w_bins: int | None = None) -> float:
-        """Coincidence frequency at one angle, read off its merged one-block table."""
-        return int(self.block_counts_at(theta, w_bins, n_blocks=1).sum()) / self.params.n_trials
 
 
 def _table_bytes(top: int, blocks: int) -> int:

@@ -64,15 +64,15 @@ def _window_sweeps(params: SimParams, windows, thetas) -> tuple[SweepResult, ...
         raise ValueError("theta grid must lie inside [0, pi]")
     if sorted(grid) != grid or len(set(grid)) != len(grid):
         raise ValueError("theta grid must be strictly increasing")
-    engine = ThetaEngine(params)
-    rows: dict[int, list[SweepRow]] = {int(w): [] for w in windows}
-    for t, cells in zip(grid, engine.block_counts_over(grid, list(rows))):
-        for w, blocks in cells.items():
+    sweeps = []
+    for w, cells in ThetaEngine(params).block_counts_over(grid, list(windows)).items():
+        rows = []
+        for t, blocks in zip(grid, cells):
             est = estimate(CoincidenceCounts.from_cells(blocks, params.n_trials), blocks)
-            rows[w].append(SweepRow(theta=t, e=est.e, stderr_e=est.stderr_e,
-                                    gamma=est.gamma, n_coinc=est.n_coinc))
-    return tuple(SweepResult(rows=tuple(r), params=replace(params, w_bins=w))
-                 for w, r in rows.items())
+            rows.append(SweepRow(theta=t, e=est.e, stderr_e=est.stderr_e,
+                                 gamma=est.gamma, n_coinc=est.n_coinc))
+        sweeps.append(SweepResult(rows=tuple(rows), params=replace(params, w_bins=w)))
+    return tuple(sweeps)
 
 
 def sweep_theta(params: SimParams, thetas=FIGURE_GRID) -> SweepResult:

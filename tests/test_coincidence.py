@@ -81,7 +81,6 @@ def test_one_window_rule(w_bins, valid):
                      lambda: engine.block_counts_at(1.0, w_bins),
                      lambda: engine.block_counts_at(1.0, [1, w_bins]),
                      lambda: engine.estimate_at(1.0, w_bins),
-                     lambda: engine.gamma_at(1.0, w_bins),
                      lambda: match_streams(s1, s2, w_bins),
                      lambda: analyze_streams(s1, s2, 1, 1, w_bins)):
             with pytest.raises(ValueError, match="w_bins"):

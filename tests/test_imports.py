@@ -7,10 +7,14 @@ No linter is installed, so this stays stdlib-only and parses with ``ast``:
   imports;
 * every module-level ``def`` or ``class`` in ``src/eprbsim`` is loaded by
   name somewhere in ``src`` or ``scripts``, or is exported in
-  ``eprbsim.__all__``.
+  ``eprbsim.__all__``;
+* every public method of a class in ``src/eprbsim`` is loaded as an
+  attribute somewhere in ``src`` or ``scripts``, unless it overrides a
+  method of a base class (as ``cli._Parser.error`` does).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -49,14 +53,34 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def dead_definitions(modules: dict[str, str], readers: list[str], exported) -> list[str]:
-    """``module.name`` of each top-level def or class no reader loads or ``exported`` names."""
-    loaded = {node.id for source in readers for node in ast.walk(ast.parse(source))
+def dead_definitions(modules: dict[str, str], readers: list[str], exported,
+                     overrides=lambda module, cls, name: False) -> list[str]:
+    """Each top-level def or class no reader loads or ``exported`` names, as
+    ``module.name``, and each public method no reader loads as an attribute,
+    as ``module.Class.method``, unless ``overrides(module, Class, method)``."""
+    trees = [ast.parse(source) for source in readers]
+    loaded = {node.id for tree in trees for node in ast.walk(tree)
               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [f"{module}.{node.name}" for module, source in modules.items()
-            for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name not in loaded and node.name not in exported]
+    attributes = {node.attr for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in loaded and node.name not in exported:
+                dead.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead += [f"{module}.{node.name}.{f.name}" for f in node.body
+                         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                         and f.name not in attributes and not overrides(module, node.name, f.name)]
+    return dead
+
+
+def overrides_base(module: str, cls: str, name: str) -> bool:
+    """Whether ``eprbsim.module.cls.name`` overrides a method of a base class."""
+    bases = getattr(importlib.import_module(f"eprbsim.{module}"), cls).__mro__[1:]
+    return any(hasattr(base, name) for base in bases)
 
 
 def test_checker_finds_a_dead_definition():
@@ -64,8 +88,25 @@ def test_checker_finds_a_dead_definition():
     assert dead_definitions({"lib": lib}, [lib, "used()\n"], {"Public"}) == ["lib.dead"]
 
 
+def test_checker_finds_a_dead_method():
+    lib = ("class Engine(Base):\n"
+           "    def __init__(self):\n        self._helper()\n"
+           "    def _helper(self):\n        pass\n"
+           "    def used(self):\n        pass\n"
+           "    def dead(self):\n        pass\n"
+           "    def error(self):\n        pass\n")
+    reader = "Engine().used()\n"
+    assert dead_definitions({"lib": lib}, [lib, reader], set(),
+                            lambda module, cls, name: name == "error") == ["lib.Engine.dead"]
+
+
+def test_override_is_found_on_a_base_class():
+    assert overrides_base("cli", "_Parser", "error")
+    assert not overrides_base("pipeline", "ThetaEngine", "block_counts_over")
+
+
 def test_no_dead_definitions():
     readers = [p.read_text() for pattern in ("src/eprbsim/*.py", "scripts/*.py")
                for p in ROOT.glob(pattern)]
     modules = {p.stem: p.read_text() for p in LIBRARY}
-    assert dead_definitions(modules, readers, set(eprbsim.__all__)) == []
+    assert dead_definitions(modules, readers, set(eprbsim.__all__), overrides_base) == []

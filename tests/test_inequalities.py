@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -8,16 +9,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eprbsim import (
+    Setting,
     SimParams,
     check_violations,
     lg_bound,
     maximize_S,
     min_gamma,
+    run_pairs,
     s_value,
     smax_quantum,
+    tally_blocks,
 )
 from eprbsim import inequalities, pipeline
-from eprbsim.inequalities import _fold
+from eprbsim.inequalities import _fold, _theta_grid
 from eprbsim.pipeline import ThetaEngine
 
 unit_e = st.floats(-1.0, 1.0)
@@ -151,7 +155,60 @@ class TestSelectionEngineReuse:
         self._engines_built(self.P)
         _, built = self._engines_built(replace(self.P, **{field: value}))
         assert built == 5
-        assert len(inequalities._selection) == 1  # the old ensemble was freed
+        assert len(inequalities._selection) == 1  # the old table was freed
+
+    def test_other_grid_misses(self):
+        self._engines_built(self.P)
+        with mock.patch.object(inequalities, "ThetaEngine", wraps=ThetaEngine) as built:
+            maximize_S(self.P, FAST / 2)
+        assert built.call_count == 5
+        assert len(inequalities._selection) == 1
+
+    @pytest.mark.parametrize("memo_top, builds", [
+        (1, [5, 5, 4, 5, 4, 5, 5, 4, 4]),
+        (5, [5, 4, 4, 5, 4, 5, 5, 4, 4]),
+        (4096, [5, 4, 4, 4, 4, 4, 4, 4, 4]),
+    ])
+    def test_window_family_at_any_table_width(self, memo_top, builds):
+        # max_tag is 38: a table resolves windows up to min(38, max(w, memo_top)) + 1,
+        # and every window once that passes 38
+        p = replace(self.P, t0_ratio=37.5)
+        windows = [3, 6, 1, 16, 2, 37, 39, 1000, 2]
+        with mock.patch.object(inequalities, "_MEMO_TOP", memo_top):
+            cold = {}
+            for w in set(windows):
+                inequalities._selection.clear()
+                cold[w] = maximize_S(replace(p, w_bins=w), FAST)
+            inequalities._selection.clear()
+            warm = [self._engines_built(replace(p, w_bins=w)) for w in windows]
+        assert [built for _, built in warm] == builds  # 4: the held-out legs only
+        assert [repr(rep) for rep, _ in warm] == [repr(cold[w]) for w in windows]
+        # the kept table, at the last width, holds the reference tally of the
+        # grid at each window
+        (table,) = inequalities._selection.values()
+        assert table.shape == (p.max_tag + 1, len(_theta_grid(FAST)), 4)
+        for theta, cells in zip(_theta_grid(FAST), table.swapaxes(0, 1)):
+            blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(float(theta)), p)
+            for w in (1, 2, 16, p.max_tag, p.max_tag + 1):
+                assert np.array_equal(cells[w - 1], tally_blocks(blk, w, 1)[0])
+
+    def test_selection_engine_dropped_before_legs(self):
+        inequalities._selection.clear()
+        selection, alive_at_legs = [], []
+
+        class Tracked(ThetaEngine):
+            def __init__(self, params, first_trial=0):
+                if first_trial:  # a held-out leg
+                    alive_at_legs.append(selection[0]() is not None)
+                super().__init__(params, first_trial)
+                if not first_trial:
+                    selection.append(weakref.ref(self))
+
+        with mock.patch.object(inequalities, "ThetaEngine", Tracked):
+            maximize_S(self.P, FAST)
+        assert len(selection) == 1 and alive_at_legs == [False] * 4
+        assert selection[0]() is None
+        assert not any(isinstance(v, ThetaEngine) for v in inequalities._selection.values())
 
 
 class TestHeldOutLegs:
@@ -170,6 +227,7 @@ class TestHeldOutLegs:
         assert rep.stderr_s == math.sqrt(sum(leg.stderr_e ** 2 for leg in legs))
         assert rep.s_select is not None and abs(rep.s_select) <= 4.0
         assert rep.s_select != rep.s
+        assert [type(t) for t in rep.quad_angles] == [float] * 4
 
     def test_zero_offset_engine_is_default_engine(self):
         default = ThetaEngine(self.P)
@@ -207,6 +265,11 @@ class TestMinGamma:
         p = SimParams(w_bins=1, t0_ratio=100.0, d=3.0, n_trials=1000, seed=1)
         with pytest.raises(ValueError):
             min_gamma(p, thetas=[0.5, 1.0, 1.5])
+
+    def test_grid_must_lie_inside_range(self):
+        p = SimParams(w_bins=1, t0_ratio=100.0, d=3.0, n_trials=1000, seed=1)
+        with pytest.raises(ValueError, match=r"theta grid must lie inside \[0, pi\]"):
+            min_gamma(p, thetas=[0.0, math.pi / 2, math.pi, 4.0, -0.5])
 
     def test_custom_grid_accepted(self):
         p = SimParams(w_bins=1, t0_ratio=50.0, d=3.0, n_trials=2 * 10**4, seed=3)

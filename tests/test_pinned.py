@@ -181,10 +181,8 @@ class TestEngineMatchesReferenceTally:
         t0_ratio=st.sampled_from([0.6, 37.5]),
         seed=st.integers(0, 2**64 - 1),
         chunk=st.integers(37, 600),
-        memo_top=st.sampled_from([1, 5, 4096]),
     )
-    def test_cached_and_chunked(self, theta, windows, n_blocks, d, t0_ratio, seed, chunk,
-                                memo_top):
+    def test_cached_and_chunked(self, theta, windows, n_blocks, d, t0_ratio, seed, chunk):
         p = SimParams(w_bins=1, t0_ratio=t0_ratio, d=d, n_trials=1500, seed=seed)
         # the edges of the window-cumulative table: the narrowest window, its
         # last row (max_tag), one past it and a window far outside it
@@ -202,23 +200,14 @@ class TestEngineMatchesReferenceTally:
             assert got.keys() == expected.keys()
             assert all(np.array_equal(got[w], expected[w]) for w in expected)
 
-        # a repeated angle is read off the engine's merged table, with no
-        # kernel call, and equals a cold engine's one-block tally; a table
-        # narrower than max_tag (memo_top below it) is rebuilt when a wider
-        # window is asked
-        with mock.patch.object(pipeline, "_MEMO_TOP", memo_top):
-            cold = ThetaEngine(p).block_counts_at(theta, windows, 1)
-            engine.block_counts_at(theta, min(windows), 1)
-            engine.block_counts_at(theta, windows, 1)
-            with mock.patch.object(pipeline, "_station_kernel", side_effect=AssertionError):
-                hit = engine.block_counts_at(theta, windows, 1)
-                gammas = [engine.gamma_at(theta, w) for w in windows]
-        assert hit.keys() == cold.keys()
+        # one block, as the selection grid tallies, and the coincidence
+        # frequency read off it
+        one = engine.block_counts_at(theta, windows, 1)
+        assert one.keys() == expected.keys()
         for w in windows:
             merged = tally_blocks(blk, w, 1)
-            assert np.array_equal(hit[w], merged) and np.array_equal(cold[w], merged)
-            assert hit[w].dtype == np.int64
-        assert gammas == [int(tally_blocks(blk, w, 1).sum()) / p.n_trials for w in windows]
+            assert np.array_equal(one[w], merged) and one[w].dtype == np.int64
+            assert engine.estimate_at(theta, w, 1).gamma == int(merged.sum()) / p.n_trials
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -245,16 +234,16 @@ class TestEngineMatchesReferenceTally:
             engine = ThetaEngine(p)
             got = engine.block_counts_over(thetas, windows, n_blocks)
             merged = engine.block_counts_over(thetas, windows, 1)
-            with mock.patch.object(pipeline, "_station_kernel", side_effect=AssertionError):
-                hit = engine.block_counts_over(thetas, windows, 1)  # every angle is kept
-        assert len(got) == len(merged) == len(hit) == len(thetas)
-        for theta, cells, one, again in zip(thetas, got, merged, hit):
-            blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
-            assert list(cells) == list(one) == list(again) == list(dict.fromkeys(windows))
-            for w in windows:
-                assert np.array_equal(cells[w], tally_blocks(blk, w, n_blocks))
-                assert np.array_equal(one[w], tally_blocks(blk, w, 1))
-                assert np.array_equal(again[w], one[w])
+            single = engine.block_counts_over(thetas, windows[0], n_blocks)
+        assert list(got) == list(merged) == list(dict.fromkeys(windows))
+        assert np.array_equal(single, got[windows[0]])
+        for w in windows:
+            assert got[w].shape == (len(thetas), min(n_blocks, n_trials), 4)
+            assert merged[w].shape == (len(thetas), 1, 4)
+            for theta, cells, one in zip(thetas, got[w], merged[w]):
+                blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
+                assert np.array_equal(cells, tally_blocks(blk, w, n_blocks))
+                assert np.array_equal(one, tally_blocks(blk, w, 1))
 
     def test_table_limit(self):
         p = SimParams(w_bins=10**9, t0_ratio=1e9, d=3.0, n_trials=5, seed=1)
@@ -314,7 +303,8 @@ class TestEngineMatchesReferenceTally:
             c += 1000
         again = engine.block_counts_at(1.2, [1, 16], n_blocks=1)
         assert all(np.array_equal(again[w], expected[w]) for w in expected)
-        assert engine.gamma_at(1.2, 16) == int(expected[16].sum()) / p.n_trials
+        gamma = engine.estimate_at(1.2, 16, n_blocks=1).gamma
+        assert gamma == int(expected[16].sum()) / p.n_trials
 
     def test_repeated_window_counted_once(self):
         p = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=10**5, seed=3)
