@@ -30,7 +30,8 @@ class AnalysisReport:
     per-cell opportunities.  ``s_by_sign`` maps each placement of the minus
     sign (keyed by the cell carrying it, ``"00" | "01" | "10" | "11"``) to
     its combination value; ``s_best`` is the largest in magnitude.  Those
-    summary fields are only set for a 2 x 2 settings table.
+    summary fields are only set for a 2 x 2 settings table in which every
+    cell has an estimate; otherwise they are None.
     """
 
     cells: dict[tuple[int, int], CorrelationEstimate]
@@ -65,8 +66,9 @@ def analyze_streams(stream_a: EventStream, stream_b: EventStream,
 
     s_by_sign = s_best = bound = flags = None
     if n_settings_a == 2 and n_settings_b == 2:
-        e = {key: cells[key].e for key in ((0, 0), (0, 1), (1, 0), (1, 1))}
-        if all(v is not None for v in e.values()):
+        e = {key: cells[key].e for key in ((0, 0), (0, 1), (1, 0), (1, 1))
+             if key in cells}  # a setting pair with no events has no cell
+        if len(e) == 4 and all(v is not None for v in e.values()):
             e00, e01, e10, e11 = e[(0, 0)], e[(0, 1)], e[(1, 0)], e[(1, 1)]
             s_by_sign = {
                 "00": s_value(e01, e00, e11, e10),

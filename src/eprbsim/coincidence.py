@@ -191,8 +191,10 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
             bad = int(np.argmax(dk < 0)) + 1
             raise ValueError(f"{name} is not sorted by k (first violation at event {bad})")
 
-    merged = np.sort(np.concatenate([stream_a.k, stream_b.k]), kind="stable")
+    merged = np.concatenate([stream_a.k, stream_b.k])
+    merged.sort(kind="stable")  # in place, and freed before the per-event arrays
     starts = merged[1:][np.diff(merged) >= w_bins]  # first tags of later segments
+    del merged
     seg_a = np.searchsorted(starts, stream_a.k, "right")
     seg_b = np.searchsorted(starts, stream_b.k, "right")
     both = (np.bincount(seg_a, minlength=len(starts) + 1)

@@ -17,6 +17,7 @@ significant digits, enough to round-trip doubles.  Manifests are flat
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -63,20 +64,101 @@ class EventStream:
                 and np.array_equal(self.x, other.x))
 
 
+_WRITE_ROWS = 1 << 16  # rows formatted at a time
+_READ_BYTES = 1 << 16  # body bytes parsed at a time, ending at a newline
+_COMMA, _LF, _MINUS, _ZERO = b",\n-0"
+
+
 def write_events(stream: EventStream, path) -> None:
-    """Serialize a station stream as TTAG-CSV v1 (lossless)."""
-    rows = np.stack([stream.k, stream.setting_index, stream.x], axis=1)
-    text = (f"{_HEADER_PREFIX}{TTAG_VERSION}\n" + "%s,%s,%s\n" * len(stream)) % tuple(
-        rows.ravel().tolist())
-    Path(path).write_text(text, encoding="ascii", newline="\n")
+    """Serialize a station stream as TTAG-CSV v1 (lossless).
+
+    The bytes are those of ``"%d,%d,%d\\n"`` on every row, formatted in numpy
+    ``_WRITE_ROWS`` rows at a time by ``_format_rows``.
+    """
+    cols = (stream.k, stream.setting_index, stream.x)
+    with open(path, "wb") as f:
+        f.write(f"{_HEADER_PREFIX}{TTAG_VERSION}\n".encode("ascii"))
+        for start in range(0, len(stream), _WRITE_ROWS):
+            f.write(_format_rows([c[start:start + _WRITE_ROWS] for c in cols]))
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Four ASCII digits of 0..9999, one native uint32 each, and which of a
+    group's four bytes a number keeps: those of its significant digits, or
+    all four when more digits lie above the group (index 10^4).
+
+    Built on first use, so that importing the module allocates nothing.
+    """
+    places = np.array([1000, 100, 10, 1])
+    quads = (np.arange(10**4)[:, None] // places % 10 + ord("0")).astype(np.uint8)
+    keep = np.arange(4) >= 4 - (np.arange(10**4 + 1)[:, None] >= places).sum(1, keepdims=True)
+    return quads.view(np.uint32)[:, 0], keep.view(np.uint32)[:, 0]
+
+
+def _format_rows(cols) -> np.ndarray:
+    """The TTAG-CSV lines of equal-length int64 columns, as ASCII bytes.
+
+    Each field has a sign byte, as many digit bytes as the column's largest
+    magnitude has, and a separator, in one ``(rows, width)`` table; ``keep``
+    marks the bytes of the text, and one compress drops the rest.  Digits go
+    in four at a time as uint32 stores, fields right to left, so a leading
+    group's spare zeros spill into bytes that are written afterwards.
+    """
+    fields, width = [], 2  # the first field's spill
+    for v in cols:
+        mag = v.astype(np.uint64)
+        neg = v < 0
+        np.negative(mag, out=mag, where=neg)  # |v|, -2^63 included
+        digits = len(str(int(mag.max())))
+        fields.append((width, neg, mag, digits))
+        width += digits + 2
+    quads, keeps = _digit_tables()
+    text = np.empty((len(cols[0]), width), np.uint8)
+    keep = np.zeros(text.shape, bool)
+    for at, neg, mag, digits in reversed(fields):
+        end = at + 1 + digits
+        for i in range(0, digits, 4):  # i digits lie right of this group
+            group = np.s_[:, end - i - 4:end - i]
+            high = mag // 10**4
+            text[group].view(np.uint32)[:, 0] = quads.take(mag - high * 10**4)
+            # the units group of zero keeps its "0"
+            keep[group].view(np.uint32)[:, 0] = keeps.take(np.clip(mag, i == 0, 10**4))
+            mag = high
+        text[:, at], keep[:, at] = _MINUS, neg
+        text[:, end], keep[:, end] = _COMMA, True
+    text[:, -1] = _LF
+    return np.compress(keep.ravel(), text.ravel())
 
 
 def read_events(path) -> EventStream:
     """Parse a TTAG-CSV v1 file, rejecting version or format violations.
 
-    One ``np.loadtxt`` parses the rows before the first blank line, carriage
-    return or non-ASCII byte, which it would misread.  An error names the
-    first bad line.
+    A canonical body, as ``write_events`` writes it, is parsed by
+    ``np.fromstring`` (see ``_canonical_rows``); any other goes through a
+    byte pre-scan and ``np.loadtxt``, which accept the lenient forms ``+1``
+    and spaces around a field.  An error names the first bad line.
+    """
+    rows, error = _read_rows(path)  # the file's bytes are freed by now
+    k, s, x = rows.T
+    out_of_range = (k < 0) | (s < 0) | ((x != 1) & (x != -1))
+    bad = out_of_range.copy()
+    bad[1:] |= k[1:] < k[:-1]
+    if bad.any():
+        i = int(bad.argmax())
+        raise TtagFormatError(f"{path}:{i + 2}: " + (
+            "field out of range" if out_of_range[i] else "tags must be non-decreasing"))
+    if error:
+        raise TtagFormatError(error)
+    return EventStream(k, s, x)
+
+
+def _read_rows(path) -> tuple[np.ndarray, str | None]:
+    """The ``(n, 3)`` rows of a TTAG-CSV v1 file before its first bad line.
+
+    A bad header raises; a bad line comes back as an error naming it.  The
+    lenient route parses the rows before the first blank line, carriage
+    return or non-ASCII byte, which ``np.loadtxt`` would misread.
     """
     data, nl = Path(path).read_bytes(), b"\n"
     body = data.find(nl) + 1 or len(data)
@@ -90,8 +172,9 @@ def read_events(path) -> EventStream:
     if version != TTAG_VERSION:
         raise TtagFormatError(
             f"{path}: unsupported ttag-csv version {version} (expected {TTAG_VERSION})")
-    if body == len(data):
-        return EventStream([], [], [])
+    rows = _canonical_rows(data, body)
+    if rows is not None:
+        return rows, None
     shape = "expected 'k,setting_index,x'"
     end = data.find(nl, body)
     if data.count(b",", body, end if end >= 0 else len(data)) != 2:
@@ -112,22 +195,55 @@ def read_events(path) -> EventStream:
             return np.loadtxt(f, np.int64, delimiter=",", comments=None, skiprows=1,
                               max_rows=n_rows, ndmin=2)
     try:
-        rows = parse(n_rows)
+        return parse(n_rows), error
     except ValueError as ex:  # numpy counts from 0 in a conversion error, else from 1
         convert = "could not convert" in str(ex)
         n_rows = int(re.search(r"at row (\d+)", str(ex))[1]) - (not convert)
         error = f"{path}:{n_rows + 2}: " + ("non-integer field" if convert else shape)
-        rows = parse(n_rows)  # the rows before it
-    k, s, x = rows.T
-    out_of_range = (k < 0) | (s < 0) | (np.abs(x) != 1)
-    bad = out_of_range | (np.diff(k, prepend=k[:1]) < 0)
-    if bad.any():
-        i = int(bad.argmax())
-        raise TtagFormatError(f"{path}:{i + 2}: " + (
-            "field out of range" if out_of_range[i] else "tags must be non-decreasing"))
-    if error:
-        raise TtagFormatError(error)
-    return EventStream(k, s, x)
+        return parse(n_rows), error  # the rows before it
+
+
+def _canonical_rows(data: bytes, body: int) -> np.ndarray | None:
+    """Parse the body that starts at byte ``body`` with ``np.fromstring``.
+
+    Only a canonical body is parsed; for any other this returns None.  In a
+    canonical body every line is three fields, each ``-?[0-9]+`` and at most
+    18 bytes long, split by two commas and ended by LF.  The length bound
+    matters: ``np.fromstring`` saturates an int64 overflow without an error.
+    Pieces of at most ``_READ_BYTES`` that end at a newline have their LFs
+    turned into commas and fill one preallocated array; the body is never
+    copied whole.  An empty body gives no rows.
+    """
+    text = np.frombuffer(data, np.uint8, offset=body)
+    lines = sum(np.count_nonzero(text[at:at + _READ_BYTES] == _LF)
+                for at in range(0, len(text), _READ_BYTES))
+    rows = np.empty((lines, 3), np.int64)
+    values, done, at = rows.reshape(-1), 0, 0
+    while at < len(text):
+        end = data.rfind(b"\n", body + at, body + at + _READ_BYTES) + 1 - body
+        if end <= at:
+            return None
+        piece = text[at:end]
+        is_sep = (piece == _COMMA) | (piece == _LF)
+        seps = np.flatnonzero(is_sep)
+        width = np.diff(seps, prepend=-1)  # a field's bytes plus one
+        minus = piece == _MINUS
+        not_digit = piece - _ZERO >= 10
+        if (piece[seps].tobytes() != b",,\n" * (len(seps) // 3)  # three fields a line
+                or width.min() < 2 or width.max() > 19  # of 1 to 18 bytes
+                or np.count_nonzero(not_digit) != np.count_nonzero(minus) + len(seps)
+                or (minus[:-1] & not_digit[1:]).any()  # a "-" precedes a digit
+                or (minus[1:] & ~is_sep[:-1]).any()):  # and opens its field
+            return None
+        piece = piece.copy()
+        piece[seps[2::3]] = _COMMA
+        try:
+            values[done:done + len(seps)] = np.fromstring(piece, np.int64, sep=",")
+        except ValueError:
+            return None
+        done += len(seps)
+        at = end
+    return rows
 
 
 def export_station_streams(block: TrialBlock, setting_index_1: int = 0,

@@ -13,7 +13,8 @@ replays one trial at a time, as the model is stated:
 * a tally over ``(x1, k1, x2, k2)`` rows;
 * the delete-one-block jackknife, one block at a time in Python integers;
 * greedy stream matching, one event at a time;
-* the TTAG-CSV body, one line at a time with ``int()``.
+* a TTAG-CSV file, written by one ``%`` format over every field and read
+  one line at a time with ``int()``.
 """
 
 import math
@@ -119,11 +120,19 @@ def match_pairs(ka, kb, w_bins: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def ttag_file(stream) -> bytes:
+    """The bytes of ``stream`` as a TTAG-CSV v1 file, one ``%`` format for all fields."""
+    rows = np.stack([stream.k, stream.setting_index, stream.x], axis=1)
+    text = ("# ttag-csv 1\n" + "%s,%s,%s\n" * len(stream)) % tuple(rows.ravel().tolist())
+    return text.encode("ascii")
+
+
 def ttag_rows(path, text: str) -> list[tuple[int, int, int]]:
     """The ``(k, setting_index, x)`` rows of a TTAG-CSV v1 body, one line at a time.
 
     ``text`` is the file after its header line.  The first bad line raises
-    ``TtagFormatError`` with the message ``eprbsim.read_events`` gives it.
+    ``TtagFormatError`` with the message ``eprbsim.read_events`` gives it; a
+    field outside the int64 range is a non-integer field.
     """
     lines = text.split("\n")
     if lines[-1] == "":
@@ -135,6 +144,8 @@ def ttag_rows(path, text: str) -> list[tuple[int, int, int]]:
             raise TtagFormatError(f"{path}:{lineno}: expected 'k,setting_index,x'")
         try:
             k, s, x = (int(v) for v in parts)
+            if not all(-2**63 <= v < 2**63 for v in (k, s, x)):
+                raise ValueError("outside int64")
         except ValueError:
             raise TtagFormatError(f"{path}:{lineno}: non-integer field") from None
         if k < 0 or s < 0 or x not in (-1, 1):

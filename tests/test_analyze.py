@@ -77,6 +77,16 @@ class TestAnalyzeStreams:
         assert report.gamma_min_pairs == 0.0
         assert 0.0 < report.gamma_total_fraction < 1.0
 
+    @pytest.mark.parametrize("n", [40, 0], ids=["setting-1-unused", "empty-streams"])
+    def test_missing_cell_leaves_summary_undefined(self, n):
+        ks = list(range(0, 4 * n, 4))
+        sa = EventStream(ks, [0] * n, [1] * n)  # station A never uses setting 1
+        sb = EventStream(ks, [i % 2 for i in range(n)], [-1] * n)
+        report = analyze_streams(sa, sb, 2, 2, w_bins=1)
+        assert (1, 0) not in report.cells
+        assert (report.s_by_sign, report.s_best, report.bound_lg, report.flags) == (
+            None, None, None, None)
+
     def test_setting_index_outside_table_rejected(self):
         sa = EventStream([0], [5], [1])
         sb = EventStream([0], [0], [1])

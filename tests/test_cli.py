@@ -65,6 +65,18 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("usage error:") and "w_bins" in err
 
+    def test_analyze_two_by_two_with_a_missing_cell(self, capsys, tmp_path):
+        # station A never uses setting 1, so cells (1, 0) and (1, 1) are absent
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_events(EventStream([0, 4, 8, 12], [0] * 4, [1, -1, 1, -1]), a)
+        write_events(EventStream([0, 4, 8, 12], [0, 1, 0, 1], [1, 1, -1, -1]), b)
+        code, out, err = run_cli(capsys, "analyze", "--file-a", str(a), "--file-b", str(b),
+                                 "--settings-a", "0,1", "--settings-b", "0,1")
+        assert code == 0 and err == ""
+        assert "s_best = undefined" in out.splitlines()
+        assert [line.split(",")[:3] for line in out.splitlines()
+                if line.startswith("cell,")] == [["cell", "0", "0"], ["cell", "0", "1"]]
+
     def test_missing_analyze_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "analyze", "--file-a", str(tmp_path / "none.csv"),

@@ -18,6 +18,7 @@ from eprbsim import (
 )
 from eprbsim.ttag_io import (
     RunManifest,
+    _format_rows,
     file_digest,
     format_real,
     parse_config,
@@ -32,14 +33,18 @@ from eprbsim.errors import UsageError
 from . import reference
 
 
+# tags and setting indices of every decimal width up to int64's 19 digits
+_WIDE = st.one_of(st.integers(0, 9), st.integers(0, 2**63 - 1),
+                  st.sampled_from([10**18 - 1, 10**18, 2**63 - 1]))
+
+
 @st.composite
 def event_streams(draw):
     n = draw(st.integers(0, 40))
-    gaps = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
-    ks = np.cumsum([0] + gaps)[:n] if n else []
-    settings_ = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    ks = sorted(draw(st.lists(_WIDE, min_size=n, max_size=n)))
+    settings_ = draw(st.lists(st.one_of(st.integers(0, 3), _WIDE), min_size=n, max_size=n))
     xs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    return EventStream(list(ks), settings_, xs)
+    return EventStream(np.array(ks, np.int64), np.array(settings_, np.int64), xs)
 
 
 @st.composite
@@ -49,7 +54,12 @@ def ttag_bodies(draw):
     ks = np.cumsum(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))).tolist()
     lines = [f"{k},{draw(st.integers(0, 2))},{draw(st.sampled_from([-1, 1]))}" for k in ks]
     odd = st.sampled_from(["", "# x", "1,0,1 # c", "1,0", "1,0,1,", "x,0,1", "0,0,3",
-                           "5,-1,1", "0,0,1", " 2 ,1, -1", "+4,0,1", "-0,1,1", "9,0,-1"])
+                           "5,-1,1", "0,0,1", " 2 ,1, -1", "+4,0,1", "-0,1,1", "9,0,-1",
+                           "-,0,1", "0,1-2,1", "0,0,--1",
+                           "9223372036854775807,0,1", "9223372036854775808,0,1",
+                           "0,99999999999999999999,1", "-9223372036854775808,0,1",
+                           "0,-99999999999999999999,1", "0,0,-9223372036854775809",
+                           "1000000000000000000,1,-1", "0,000000000000000000001,1"])
     for _ in range(draw(st.integers(0, 3))):
         lines[draw(st.integers(0, n - 1))] = draw(odd)
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
@@ -73,12 +83,19 @@ class TestEventStream:
 
 
 class TestTtagRoundTrip:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(stream=event_streams())
     def test_lossless(self, stream, tmp_path_factory):
         path = tmp_path_factory.mktemp("ttag") / "s.csv"
         write_events(stream, path)
+        assert path.read_bytes() == reference.ttag_file(stream)
         assert read_events(path) == stream
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.integers(-2**63, 2**63 - 1)] * 3), min_size=1))
+    def test_formats_any_int64(self, rows):
+        cols = [np.array(c, np.int64) for c in zip(*rows)]
+        assert _format_rows(cols).tobytes() == b"".join(b"%d,%d,%d\n" % r for r in rows)
 
     def test_reserialization_is_bit_identical(self, tmp_path):
         p = SimParams(w_bins=1, t0_ratio=100.0, d=3.0, n_trials=10**4, seed=12)
@@ -143,8 +160,12 @@ class TestTtagErrors:
         (b"0,0,1\n1,\xff,1\n", ":3: non-ASCII byte"),
         (b"0,0,1\r\n1,0,1\r\n", ":2: carriage return"),
         (b"1_0,0,1\n", ":2: non-integer field"),  # int() reads it as 10
+        (b"0,0,1\n-,0,1\n", ":3: non-integer field"),  # np.fromstring reads 0
+        (b"0,0,1\n9223372036854775808,0,1\n", ":3: non-integer field"),  # or 2^63 - 1
+        (b"0,0,-99999999999999999999\n", ":2: non-integer field"),
     ], ids=["blank-line", "trailing-blank-line", "comment-line", "trailing-comment",
-            "one-short-row", "non-ascii", "crlf", "underscore"])
+            "one-short-row", "non-ascii", "crlf", "underscore", "lone-minus",
+            "int64-overflow", "negative-overflow"])
     def test_line_a_bulk_parse_would_pass(self, tmp_path, body, where):
         path = tmp_path / "s.csv"
         path.write_bytes(b"# ttag-csv 1\n" + body)
