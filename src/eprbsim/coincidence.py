@@ -75,21 +75,33 @@ def block_edges(n: int, n_blocks: int) -> np.ndarray:
     return np.linspace(0, n, min(n_blocks, n) + 1).astype(np.int64)
 
 
+def block_spans(edges, lo: int = 0, hi: int | None = None) -> list[tuple[int, int, int]]:
+    """``(b, start, stop)`` of each block that meets trials ``lo..hi-1``.
+
+    Block ``b`` holds trials ``edges[b]`` to ``edges[b + 1]``; ``start`` and
+    ``stop`` bound its part of the range, counted from ``lo``, and blocks
+    the range misses are left out.  ``hi`` defaults to the last edge.
+    """
+    cut = (np.clip(edges, lo, edges[-1] if hi is None else hi) - lo).tolist()
+    return [(b, cut[b], cut[b + 1]) for b in range(len(cut) - 1) if cut[b] < cut[b + 1]]
+
+
 def add_cells(out: np.ndarray, group: np.ndarray, neg1, neg2, spans) -> None:
     """Add the cell counts of each span of trials into row ``b`` of ``out``.
 
     ``neg1`` and ``neg2`` are the bool ``[x1 < 0]`` and ``[x2 < 0]``.  A
     trial's cell code is ``4 * group + 2 * [x1 < 0] + [x2 < 0]``, formed in
-    place in ``group``, an integer array the caller no longer needs.  Row
-    ``b`` of ``out``, ``(len(spans) - 1, 4 * n_groups)``, gains the bincount
-    of the codes of trials ``spans[b]`` to ``spans[b + 1]``.
+    place in ``group``, an integer array the caller no longer needs.  For
+    each ``(b, start, stop)`` of ``spans`` (see :func:`block_spans`), row
+    ``b`` of ``out``, ``(n_blocks, 4 * n_groups)``, gains the bincount of the
+    codes of trials ``start`` to ``stop``.
     """
     cell = neg1.view(np.int8) * np.int8(2)
     cell += neg2.view(np.int8)
     group *= 4
     group += cell
-    for b in np.flatnonzero(np.diff(spans)):
-        out[b] += np.bincount(group[spans[b]:spans[b + 1]], minlength=out.shape[1])
+    for b, start, stop in spans:
+        out[b] += np.bincount(group[start:stop], minlength=out.shape[1])
 
 
 def tally(trials: TrialBlock, w_bins: int) -> CoincidenceCounts:
@@ -106,7 +118,7 @@ def tally_blocks(trials: TrialBlock, w_bins: int,
     edges = block_edges(len(trials), n_blocks)
     cells = np.zeros((len(edges) - 1, 8), dtype=np.int64)  # group 1: not coincident
     add_cells(cells, (np.abs(trials.k1 - trials.k2) >= w).view(np.int8),
-              trials.x1 < 0, trials.x2 < 0, edges)
+              trials.x1 < 0, trials.x2 < 0, block_spans(edges))
     return cells[:, :4].copy()
 
 
@@ -237,7 +249,7 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
     n_a, n_b = len(counts_a), len(counts_b)
     cells = np.zeros((1, 4 * n_a * n_b), dtype=np.int64)
     add_cells(cells, stream_a.setting_index[pa] * n_b + stream_b.setting_index[pb],
-              stream_a.x[pa] < 0, stream_b.x[pb] < 0, [0, len(pa)])
+              stream_a.x[pa] < 0, stream_b.x[pb] < 0, [(0, 0, len(pa))])
     cells = cells.reshape(n_a, n_b, 4)
     return {
         (a, b): CoincidenceCounts.from_cells(cells[a, b], min(count_a, count_b))

@@ -104,37 +104,49 @@ class Setting:
         return float(self.vec @ other.vec)
 
 
-def _half_power(u, d) -> None:
+def _half_power(u, d, tmp=None) -> None:
     """``u ** (d / 2)`` in place on ``u``, for ``u`` in ``[0, 1]``.
 
     An integer ``d`` up to ``_PRODUCT_D`` is taken as ``sqrt`` and products
     (``u * sqrt(u)`` at ``d = 3``), two to three times faster than
-    ``np.power``.  A product differs from ``np.power`` in the last ulp of a
-    quarter of the values at ``d = 3``, yet no event moved in 10^8 seeded
-    trials at ``d = 3`` and 6 x 10^7 at ``d = 5`` (``t0_ratio`` 1000 and
-    1.025).
+    ``np.power``; ``tmp``, a float buffer of ``u``'s shape, takes the
+    partial product, or a new one does.  A product differs from ``np.power``
+    in the last ulp of a quarter of the values at ``d = 3``, yet no event
+    moved in 10^8 seeded trials at ``d = 3`` and 6 x 10^7 at ``d = 5``
+    (``t0_ratio`` 1000 and 1.025).
     """
     if d != int(d) or d > _PRODUCT_D:
         np.power(u, d / 2.0, out=u)
         return
     half, odd = divmod(int(d), 2)
-    acc = np.sqrt(u) if odd else np.ones_like(u)
+    if half == 0:  # d = 0 or 1
+        if odd:
+            np.sqrt(u, out=u)
+        else:
+            u.fill(1.0)
+        return
+    if half == 1 and not odd:  # d = 2: u itself
+        return
+    acc = np.empty_like(u) if tmp is None else tmp
+    if odd:  # acc = sqrt(u) * u ** (half - 1)
+        np.sqrt(u, out=acc)
+    else:  # acc = u ** (half - 1)
+        np.copyto(acc, u)
+        half -= 1
     for _ in range(half - 1):
         acc *= u
-    if half:
-        u *= acc
-    else:
-        u[...] = acc
+    u *= acc
 
 
-def _station_kernel(c, lam, t0_ratio, d, out=None):
+def _station_kernel(c, lam, t0_ratio, d, out=None, tmp=None):
     """Vectorized station law on the projection ``c = s_local . a``; every input local.
 
     Returns ``(x, k)`` as int8 / int64 arrays.  With ``out = (neg, k)``, a
     bool and an int64 buffer of ``c``'s length, it writes ``[x < 0]`` and
     the tag into them and returns them instead: a tally reads only the sign
     of the outcome.  The delay law runs in place on ``c``, so a caller passes
-    a buffer it no longer needs.  Only the value of ``c`` matters, not the
+    a buffer it no longer needs, and ``tmp``, another such float buffer, is
+    passed on to ``_half_power``.  Only the value of ``c`` matters, not the
     sign of a zero: neither ``c >= 0``, ``c < 0`` nor ``c * c`` reads it, so
     a projection that drops terms which are ``+-0`` gives the same events.
     """
@@ -147,7 +159,7 @@ def _station_kernel(c, lam, t0_ratio, d, out=None):
     c *= c
     np.subtract(1.0, c, out=c)
     np.maximum(c, 0.0, out=c)
-    _half_power(c, d)
+    _half_power(c, d, tmp)
     c *= t0_ratio  # max delay, units of tau
     np.ceil(c, out=c)
     np.maximum(c, 1.0, out=c)  # m: whole resolution bins spanned
@@ -156,20 +168,23 @@ def _station_kernel(c, lam, t0_ratio, d, out=None):
     return x, k
 
 
-def _hidden_arrays(seed: int, first: int, last: int, y: bool = True):
+def _hidden_arrays(seed: int, first: int, last: int, y: bool = True, out=None, work=None):
     """``(sx, sy, sz, lam1, lam2)`` of trials ``first..last-1``; ``s`` uniform on the sphere.
 
     The transform runs in place on the draw block: ``sx``, ``sz``, ``lam1``
-    and ``lam2`` are its four rows.  ``sy`` is an array of its own, or None
-    when ``y`` is false, for a caller whose settings lie in the xz-plane;
-    that caller never evaluates ``sin``.
+    and ``lam2`` are its four rows.  ``out``, a float64 array of shape
+    ``(DRAWS_PER_TRIAL + 1, last - first)``, holds the block and, in its last
+    row, ``rho``; without it both are new arrays.  ``work`` is passed on to
+    ``uniform_block``.  ``sy`` is an array of its own, or None when ``y`` is
+    false, for a caller whose settings lie in the xz-plane; that caller never
+    evaluates ``sin``.
     """
-    u = uniform_block(seed, first, last, DRAWS_PER_TRIAL)
-    z, phi, lam1, lam2 = u
+    draws, rho = (None, None) if out is None else (out[:DRAWS_PER_TRIAL], out[DRAWS_PER_TRIAL])
+    z, phi, lam1, lam2 = uniform_block(seed, first, last, DRAWS_PER_TRIAL, draws, work)
     z *= 2.0
     z -= 1.0
     phi *= 2.0 * np.pi
-    rho = z * z
+    rho = np.multiply(z, z, out=rho)
     np.subtract(1.0, rho, out=rho)
     np.maximum(0.0, rho, out=rho)
     np.sqrt(rho, out=rho)

@@ -8,16 +8,26 @@ it merely avoids regenerating the draws and the station-1 events per point.
 
 An engine reads the ``params.n_trials`` trials starting at ``first_trial`` of
 the seed's counter stream, so engines at offsets a multiple of ``n_trials``
-apart see disjoint, independent ensembles of the same size.  It keeps 33
-bytes a trial, and builds, tallies and regenerates ``_CHUNK`` trials at a
-time.  A grid of angles is tallied in one pass over the ensemble: each chunk
-is read, or regenerated, once and counted at every angle while it is in
-cache.  The count tables of one pass hold at most ``_TABLE_BUDGET`` bytes, so
-a grid with wider tables takes one pass per group of angles that fits; one
-angle's table beyond ``_TABLE_LIMIT`` bytes is refused before any is made.
+apart see disjoint, independent ensembles of the same size.  It builds and
+tallies ``_CHUNK`` trials at a time.  A call tallies its grid of angles in
+as few passes over the ensemble as its count tables allow: each chunk is
+built, or read, once a pass and counted at every angle of the pass while it
+is in cache.  A call of one pass streams its chunks and keeps no ensemble; a
+call of several keeps the ensemble's columns, 33 bytes a trial, and reads
+them on each pass.  One angle's table beyond ``_TABLE_LIMIT`` bytes is
+refused before any is made.
+
+The chunks of a build or a pass are shared among worker threads, one for
+each CPU the process may run on.  A chunk's draws depend only on its trial
+indices, and the count tables are integers, so every result is
+byte-identical at any number of workers and in any order of chunks.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,14 +37,25 @@ from .coincidence import (
     CoincidenceCounts,
     add_cells,
     block_edges,
+    block_spans,
     estimate,
 )
-from .model import Setting, SimParams, _hidden_arrays, _station_kernel, check_window
+from .model import (
+    DRAWS_PER_TRIAL,
+    Setting,
+    SimParams,
+    _hidden_arrays,
+    _station_kernel,
+    check_window,
+)
+from .rng import check_trials
 
-_CACHE_LIMIT = 8 * 10**6  # largest ensemble kept between calls, in trials
-_CHUNK = 1 << 15  # trials per pass of a build, a tally or a regeneration; fits in L2
-_TABLE_BUDGET = 2 << 20  # bytes of count tables one pass over the ensemble fills
+_CACHE_LIMIT = 8 * 10**6  # largest ensemble kept, in trials
+_CHUNK = 1 << 15  # trials per step of a build or a pass; fits in L2
+_KEPT_BYTES = 33  # bytes a kept trial takes
+_TABLE_BUDGET = 2 << 20  # bytes of count tables one of several passes fills
 _TABLE_LIMIT = 1 << 28  # bytes of one angle's count table
+_WORKERS = None  # threads a call runs on; None: as many as the CPUs this process may use
 
 
 def _columns(n: int):
@@ -43,102 +64,199 @@ def _columns(n: int):
             np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int64))
 
 
+def _draw_buffers(size: int):
+    """The draw block and the draws' work of ``_hidden_arrays`` for ``size`` trials."""
+    return np.empty((DRAWS_PER_TRIAL + 1, size)), np.empty((3, size), dtype=np.uint64)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _each_chunk(n: int, make, work) -> None:
+    """Run ``work(starts, buffers)`` on as many threads as there are workers and chunks.
+
+    ``starts`` yields the first trial of each ``_CHUNK`` of ``n`` trials and
+    is shared, so every chunk goes to one worker.  Each worker's ``buffers``
+    come from ``make()``, called in this thread before any worker starts, so
+    a worker fills its buffers and allocates nothing a chunk long.  This
+    thread is one of the workers, so one worker starts no thread, and every
+    thread a call starts has ended when it returns.
+    """
+    chunks = range(0, n, _CHUNK)
+    workers = min(_WORKERS or _cpus(), len(chunks))
+    buffers = [make() for _ in range(workers)]
+    lock, pending = threading.Lock(), iter(chunks)
+
+    def starts():
+        while True:
+            with lock:
+                lo = next(pending, None)
+            if lo is None:
+                return
+            yield lo
+
+    if workers == 1:
+        work(starts(), buffers[0])
+        return
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = [pool.submit(work, starts(), b) for b in buffers[1:]]
+        try:
+            work(starts(), buffers[0])
+        finally:  # on an error here, the others start no further chunk
+            with lock:
+                for _ in pending:
+                    pass
+        for f in others:
+            f.result()
+
+
 class ThetaEngine:
     """Evaluates correlation estimates over relative angles at a shared seed.
 
-    An ensemble of at most ``_CACHE_LIMIT`` trials is built once and keeps
-    what every tally reads: station 2's ``-sx``, ``-sz`` and ``lambda2`` (24
-    bytes a trial), and station 1's ``k1`` (8) and ``x1`` (1), 33 bytes a
-    trial.  Every setting lies in the xz-plane, so the engine needs no
-    ``sy``: station 1 projects ``s`` as ``sz`` and station 2 as
-    ``sx * ax + sz * az``.  A larger ensemble is regenerated on every pass.
-    Building, tallying and regenerating all go ``_CHUNK`` trials at a time,
-    so no temporary spans the ensemble.
+    A tally reads, for each trial, station 2's ``-sx``, ``-sz`` and
+    ``lambda2`` (24 bytes a trial) and station 1's ``k1`` (8) and ``x1``
+    (1), ``_KEPT_BYTES`` in all.  Every setting lies in the xz-plane, so the
+    engine needs no ``sy``: station 1 projects ``s`` as ``sz`` and station 2
+    as ``sx * ax + sz * az``.
 
-    ``block_counts_over`` tallies a grid of angles in one pass: station 1's
-    sign bits ``[x1 < 0]`` are formed once a chunk, and every angle is
-    counted on the chunk while it is in cache; ``block_counts_at`` is its
-    one-angle case.  One tally of an angle counts every window at once:
-    ``add_cells`` with ``|k1 - k2|`` as the group, one ``bincount`` per
-    jackknife block, summed cumulatively over ``|k1 - k2|`` in place.  An
-    angle's int64 table takes ``32 * (top + 1)`` bytes a block, ``top``
-    being the widest window it resolves (915 kB at 100 blocks and
-    ``top = 285``), so a pass holds as many angles as fit ``_TABLE_BUDGET``.
-    The engine keeps only its ensemble: each call tallies its angles afresh,
-    at any number of blocks, through the same passes.
+    Keep or stream.  Construction builds nothing.  A call whose count tables
+    fit in one pass builds each chunk, tallies it and lets it go, so it
+    holds no ensemble.  A call that needs several passes first keeps the
+    columns of the whole ensemble, if it has at most ``_CACHE_LIMIT``
+    trials, and reads them on each pass; later calls read them too.  A
+    larger ensemble is built afresh on each pass.  One pass holds the tables
+    of as many angles as fit ``_TABLE_BUDGET``, or of every angle when they
+    fit in the bytes a kept ensemble would take.  The rule reads only the
+    call: today the figure sweeps (37 angles at 100 blocks) make several
+    passes, and the selection grid, the held-out legs and the gamma grids
+    make one.
+
+    Workers.  The chunks of a build or a pass are shared among
+    ``_WORKERS`` threads, the calling thread one of them; numpy lets go of
+    the interpreter lock in the draws, the transform and the station law.
+    Each worker's chunk buffers are allocated once a call, in the calling
+    thread, and a pass's count tables are shared: a worker adds its chunk's
+    counts to an angle's table under that table's lock.
+
+    ``block_counts_over`` tallies a grid of angles: station 1's sign bits
+    ``[x1 < 0]`` and the chunk's block spans are formed once a chunk, and
+    every angle is counted on the chunk while it is in cache;
+    ``block_counts_at`` is its one-angle case.  One tally of an angle counts
+    every window at once: ``add_cells`` with ``|k1 - k2|`` as the group,
+    one ``bincount`` per jackknife block, summed cumulatively over ``|k1 -
+    k2|`` in place.  An angle's int64 table takes ``32 * (top + 1)`` bytes a
+    block, ``top`` being the widest window it resolves (915 kB at 100
+    blocks and ``top = 285``).
     """
 
     def __init__(self, params: SimParams, first_trial: int = 0):
-        if first_trial < 0:
-            raise ValueError("first_trial must be >= 0")
+        self.first_trial, _ = check_trials(first_trial, first_trial + params.n_trials)
         self.params = params
-        self.first_trial = first_trial
         self._kept = None
-        n = params.n_trials
-        if n <= _CACHE_LIMIT:
-            kept = _columns(n)
-            for lo in range(0, n, _CHUNK):
-                self._build(lo, *(col[lo:lo + _CHUNK] for col in kept))
-            self._kept = kept
 
-    def _build(self, lo: int, sx, sz, lam2, x1, k1) -> None:
-        """Write the chunk of trials from ``lo`` into the given ``_columns`` views."""
-        p, first = self.params, self.first_trial + lo
-        hx, _, hz, lam1, hlam2 = _hidden_arrays(p.seed, first, first + len(sx), y=False)
+    def _build(self, lo: int, draws, sx, sz, lam2, x1, k1) -> None:
+        """Write the chunk of trials from ``lo`` into the given ``_columns`` views.
+
+        ``draws`` is a pair of ``_draw_buffers`` at least a chunk long.
+        """
+        p, first, m = self.params, self.first_trial + lo, len(sx)
+        block, work = draws
+        hx, _, hz, lam1, hlam2 = _hidden_arrays(p.seed, first, first + m, y=False,
+                                                out=block[:, :m], work=work[:, :m])
         np.negative(hx, out=sx)  # station 2 receives -s
         np.negative(hz, out=sz)
         lam2[:] = hlam2
-        x1[:], k1[:] = _station_kernel(hz, lam1, p.t0_ratio, p.d)  # z-hat . s is sz
+        # z-hat . s is sz; the sign bits land in x1's bytes, then become -1 or +1
+        _station_kernel(hz, lam1, p.t0_ratio, p.d, out=(x1.view(bool), k1), tmp=hx)
+        np.multiply(x1, np.int8(-2), out=x1)
+        x1 += 1
 
-    def _passes(self, thetas, edges: np.ndarray, top: int, keep) -> dict:
-        """``{theta: kept}`` for the distinct ``thetas``, one pass per group of angles.
+    def _keep(self) -> None:
+        """Keep the columns of the whole ensemble, built on every worker."""
+        n = self.params.n_trials
+        kept = _columns(n)
 
-        A group's tables, ``_cumulative(group, edges, top)``, fit
-        ``_TABLE_BUDGET``; ``keep`` maps them to one kept array per angle, so
-        no group's tables outlive its pass.
+        def work(starts, draws):
+            for lo in starts:
+                self._build(lo, draws, *(col[lo:lo + _CHUNK] for col in kept))
+
+        _each_chunk(n, lambda: _draw_buffers(min(n, _CHUNK)), work)
+        self._kept = kept
+
+    def _passes(self, thetas, edges: np.ndarray, top: int, pick) -> dict:
+        """``{theta: picked}`` for the distinct ``thetas``, in as few passes as fit.
+
+        Each pass's tables, ``_cumulative(group, edges, top)``, fit
+        ``_TABLE_BUDGET``, or every angle goes in one pass when their tables
+        fit the bytes a kept ensemble would take; ``pick`` maps them to one
+        array per angle, so no group's tables outlive its pass.  Only a call
+        of several passes keeps the ensemble.
         """
-        group = max(1, _TABLE_BUDGET // _table_bytes(top, len(edges) - 1))
-        kept = {}
+        n = self.params.n_trials
+        size = _table_bytes(top, len(edges) - 1)
+        keeps = n <= _CACHE_LIMIT
+        group = len(thetas)
+        if group * size > max(_TABLE_BUDGET, _KEPT_BYTES * n if keeps else 0):
+            group = max(1, _TABLE_BUDGET // size)
+        if group < len(thetas) and keeps and self._kept is None:
+            self._keep()
+        picked = {}
         for i in range(0, len(thetas), group):
             batch = thetas[i:i + group]
-            kept.update(zip(batch, keep(self._cumulative(batch, edges, top))))
-        return kept
+            picked.update(zip(batch, pick(self._cumulative(batch, edges, top))))
+        return picked
 
     def _cumulative(self, thetas, edges: np.ndarray, top: int) -> np.ndarray:
         """The ``(len(thetas), n_blocks, top + 1, 4)`` tables: row ``j`` counts ``|k1 - k2| <= j``.
 
         Differences above ``top`` are counted in the last row, so row
         ``min(w, top + 1) - 1`` holds window ``w`` for every ``w <= top`` and,
-        when ``top`` is ``max_tag``, for every ``w``.  Each chunk is read from
-        the kept columns, or rebuilt into one chunk-sized set, once; station
-        1's sign bits are formed once; and every angle is counted on it while
-        it is in cache.
+        when ``top`` is ``max_tag``, for every ``w``.  One pass: each chunk is
+        read from the kept columns, or built into a chunk-sized set, once;
+        station 1's sign bits and the chunk's block spans are formed once;
+        and every angle is counted on it while it is in cache.
         """
         p, n = self.params, self.params.n_trials
         axes = [Setting.from_polar(t).vec[::2].tolist() for t in thetas]  # its y is 0
         hist = np.zeros((len(thetas), len(edges) - 1, 4 * (top + 1)), dtype=np.int64)
-        size = min(n, _CHUNK)
-        proj, term = np.empty((2, size))
-        neg2, k2 = np.empty(size, dtype=bool), np.empty(size, dtype=np.int64)
-        scratch = _columns(size) if self._kept is None else None
-        for lo in range(0, n, _CHUNK):
-            if scratch is None:
-                sx, sz, lam2, x1, k1 = (col[lo:lo + _CHUNK] for col in self._kept)
-            else:
-                sx, sz, lam2, x1, k1 = cols = [col[:n - lo] for col in scratch]
-                self._build(lo, *cols)
-            m = len(sx)
-            neg1 = x1 < 0
-            spans = np.clip(edges, lo, lo + m) - lo
-            for (ax, az), out in zip(axes, hist):
-                c = np.multiply(sx, ax, out=proj[:m])
-                c += np.multiply(sz, az, out=term[:m])
-                neg, dk = _station_kernel(c, lam2, p.t0_ratio, p.d, out=(neg2[:m], k2[:m]))
-                np.subtract(k1, dk, out=dk)
-                np.abs(dk, out=dk)
-                if top < p.max_tag:
-                    np.minimum(dk, top, out=dk)
-                add_cells(out, dk, neg1, neg, spans)
+        locks = [threading.Lock() for _ in thetas]  # one worker at a time adds to a table
+        size, kept = min(n, _CHUNK), self._kept
+
+        def make():
+            build = (_draw_buffers(size), _columns(size)) if kept is None else None
+            return (np.empty((2, size)), np.empty((2, size), dtype=bool),
+                    np.empty(size, dtype=np.int64), build)
+
+        def work(starts, buffers):
+            (proj, term), (neg1, neg2), k2, build = buffers
+            for lo in starts:
+                if build is None:
+                    cols = [col[lo:lo + _CHUNK] for col in kept]
+                else:
+                    cols = [col[:n - lo] for col in build[1]]
+                    self._build(lo, build[0], *cols)
+                sx, sz, lam2, x1, k1 = cols
+                m = len(sx)
+                np.less(x1, 0, out=neg1[:m])
+                spans = block_spans(edges, lo, lo + m)
+                for (ax, az), out, lock in zip(axes, hist, locks):
+                    c = np.multiply(sx, ax, out=proj[:m])
+                    c += np.multiply(sz, az, out=term[:m])
+                    neg, dk = _station_kernel(c, lam2, p.t0_ratio, p.d,
+                                              out=(neg2[:m], k2[:m]), tmp=term[:m])
+                    np.subtract(k1, dk, out=dk)
+                    np.abs(dk, out=dk)
+                    if top < p.max_tag:
+                        np.minimum(dk, top, out=dk)
+                    with lock:
+                        add_cells(out, dk, neg1[:m], neg, spans)
+
+        _each_chunk(n, make, work)
         table = hist.reshape(len(thetas), len(edges) - 1, top + 1, 4)
         return np.cumsum(table, axis=2, out=table)
 

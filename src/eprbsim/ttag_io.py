@@ -44,14 +44,14 @@ class EventStream:
         self.x = np.asarray(x, dtype=np.int64)
         if not (len(self.k) == len(self.setting_index) == len(self.x)):
             raise ValueError("column lengths differ")
-        if len(self.k) and int(self.k.min()) < 0:
+        # 1-byte masks, not int64 temporaries
+        if (self.k < 0).any():
             raise ValueError("tags must be non-negative")
-        if len(self.setting_index) and int(self.setting_index.min()) < 0:
+        if (self.setting_index < 0).any():
             raise ValueError("setting indices must be non-negative")
-        if len(self.x) and not np.all(np.abs(self.x) == 1):
+        if ((self.x != 1) & (self.x != -1)).any():
             raise ValueError("outcomes must be -1 or +1")
-        dk = np.diff(self.k)
-        if len(dk) and int(dk.min()) < 0:
+        if (self.k[1:] < self.k[:-1]).any():
             raise ValueError("tags must be non-decreasing")
 
     def __len__(self):

@@ -11,10 +11,18 @@ No linter is installed, so this stays stdlib-only and parses with ``ast``:
 * every public method of a class in ``src/eprbsim`` is loaded as an
   attribute somewhere in ``src`` or ``scripts``, unless it overrides a
   method of a base class (as ``cli._Parser.error`` does).
+
+No work at import either: importing the package starts no thread, and a
+tally ends every thread it starts.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import Executor
 from pathlib import Path
 
 import pytest
@@ -110,3 +118,30 @@ def test_no_dead_definitions():
                for p in ROOT.glob(pattern)]
     modules = {p.stem: p.read_text() for p in LIBRARY}
     assert dead_definitions(modules, readers, set(eprbsim.__all__), overrides_base) == []
+
+
+def test_import_starts_no_thread():
+    code = ("import threading; before = threading.active_count(); "
+            "import eprbsim, eprbsim.cli; print(threading.active_count() - before)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_a_tally_leaves_no_thread_running():
+    from unittest import mock
+
+    from eprbsim import SimParams, ThetaEngine, pipeline
+
+    p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=5000, seed=3)
+    before = threading.active_count()
+    with mock.patch.multiple(pipeline, _CHUNK=100, _WORKERS=2):
+        ThetaEngine(p).block_counts_over([0.5, 1.0], [1, 16])
+    assert threading.active_count() == before
+    # no module of the package holds a pool or a thread between calls
+    for path in LIBRARY:
+        module = importlib.import_module(f"eprbsim.{path.stem}")
+        assert not [name for name, value in vars(module).items()
+                    if isinstance(value, (threading.Thread, Executor))]

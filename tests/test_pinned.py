@@ -36,7 +36,7 @@ from eprbsim import (
 )
 from eprbsim import model, pipeline
 from eprbsim.cli import main
-from eprbsim.model import _half_power, _station_kernel
+from eprbsim.model import _PRODUCT_D, _half_power, _station_kernel
 from eprbsim.ttag_io import read_manifest
 
 from . import reference
@@ -171,6 +171,19 @@ _CRAFTED_SPINS = np.array([
 _CRAFTED_THETAS = [0.0, math.pi / 2, math.pi, -math.pi / 2, 1.0]
 
 
+def keeping(p):
+    """An engine that has kept its ensemble: a call of two passes keeps it.
+
+    No grid fits one pass when a kept trial is taken to cost nothing and the
+    budget is one byte, so the two angles go in a pass each.
+    """
+    engine = ThetaEngine(p)
+    with mock.patch.multiple(pipeline, _TABLE_BUDGET=1, _KEPT_BYTES=0):
+        engine.block_counts_over([0.0, 1.0], 1, n_blocks=1)
+    assert engine._kept is not None
+    return engine
+
+
 class TestEngineMatchesReferenceTally:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -294,6 +307,20 @@ class TestEngineMatchesReferenceTally:
         _half_power(prod_u, d)
         assert (prod_u != pow_u).any() == (d != 0)
 
+    @pytest.mark.parametrize("d", range(_PRODUCT_D + 1))
+    def test_half_power_keeps_its_product_order(self, d):
+        # sqrt(u), times u for each further half power, then u times that:
+        # the order every pinned digest was made in, with or without a buffer
+        u = uniform_block(9, 0, 5000, 1)[0]
+        acc = np.sqrt(u) if d % 2 else np.ones_like(u)
+        for _ in range(d // 2 - 1):
+            acc = acc * u
+        expected = u * acc if d // 2 else acc
+        for tmp in (None, np.empty_like(u)):
+            got = u.copy()
+            _half_power(got, d, tmp)
+            assert got.tobytes() == expected.tobytes()
+
     def test_returned_counts_are_copies(self):
         p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=2000, seed=4)
         engine = ThetaEngine(p)
@@ -334,7 +361,7 @@ class TestEngineMatchesReferenceTally:
         # the cache stays on, so chunk boundaries fall inside the kept columns
         # and inside the jackknife blocks the tallies read from them
         with mock.patch.object(pipeline, "_CHUNK", chunk):
-            engine = ThetaEngine(p)
+            engine = keeping(p)
             expected = (-sx, -sz, lam2, blk.x1, blk.k1)
             assert [(a.dtype, a.tobytes()) for a in engine._kept] == [
                 (a.dtype, a.tobytes()) for a in expected]
@@ -368,12 +395,12 @@ class TestEngineMatchesReferenceTally:
 
         # the engine itself, fed these spins, counts every trial as the
         # three-term law does, at every window
-        def crafted(seed, first, last, y=True):
+        def crafted(seed, first, last, y=True, out=None, work=None):
             return (sx[first:last].copy(), None, sz[first:last].copy(),
                     lam[first:last].copy(), lam[first:last].copy())
 
         with mock.patch.object(pipeline, "_hidden_arrays", crafted):
-            engine = ThetaEngine(p)
+            engine = keeping(p)
         assert np.array_equal(engine._kept[3], x1) and np.array_equal(engine._kept[4], k1)
         blk = TrialBlock(p, x1, k1, x2, k2)
         windows = list(range(1, p.max_tag + 2))
@@ -388,9 +415,86 @@ class TestEngineMatchesReferenceTally:
             return sum(a.nbytes for a in arrays)
 
         p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=1001, seed=2)
-        assert held(ThetaEngine(p)) == 33 * p.n_trials
+        # 17 angles' tables at 100 blocks and max_tag + 1 = 39 windows (124,800
+        # bytes each) pass both the budget and the 33 bytes a trial a kept
+        # ensemble would take, so that grid takes several passes; any one
+        # angle, or the whole grid at one block, takes one
+        thetas = np.linspace(0.0, math.pi, 17)
+        assert 17 * 32 * 39 * 100 > max(pipeline._TABLE_BUDGET, 33 * p.n_trials)
+        engine = ThetaEngine(p)
+        assert held(engine) == 0
+        engine.block_counts_at(1.0, 39)
+        engine.block_counts_over(thetas, 39, n_blocks=1)
+        assert held(engine) == 0 and engine._kept is None
+        engine.block_counts_over(thetas, 39)
+        assert held(engine) == 33 * p.n_trials
         with mock.patch.object(pipeline, "_CACHE_LIMIT", p.n_trials):
-            assert held(ThetaEngine(p)) == 33 * p.n_trials
+            engine = ThetaEngine(p)
+            engine.block_counts_over(thetas, 39)
+        assert held(engine) == 33 * p.n_trials
         with mock.patch.object(pipeline, "_CACHE_LIMIT", p.n_trials - 1):
             engine = ThetaEngine(p)
+            engine.block_counts_over(thetas, 39)
         assert held(engine) == 0 and engine._kept is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        thetas=st.lists(st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+                        min_size=1, max_size=4),
+        n_blocks=st.sampled_from([1, 7, 100]),
+        d=st.sampled_from([0.0, 3.0, 5.0]),
+        t0_ratio=st.sampled_from([0.6, 37.5]),
+        seed=st.integers(0, 2**64 - 1),
+        n_trials=st.integers(1, 300),
+        chunk=st.sampled_from([1, 37, 600, pipeline._CHUNK]),
+        workers=st.sampled_from([1, 2, 3]),
+        kept=st.booleans(),
+    )
+    def test_batch_at_any_worker_count(self, data, thetas, n_blocks, d, t0_ratio, seed,
+                                       n_trials, chunk, workers, kept):
+        p = SimParams(w_bins=1, t0_ratio=t0_ratio, d=d, n_trials=n_trials, seed=seed)
+        windows = data.draw(st.lists(st.integers(1, p.max_tag + 1), min_size=1, max_size=3))
+        with mock.patch.multiple(pipeline, _CHUNK=chunk, _WORKERS=workers):
+            engine = keeping(p) if kept else ThetaEngine(p)
+            got = engine.block_counts_over(thetas, windows, n_blocks)
+        assert (engine._kept is not None) == kept  # a one-pass call streams
+        for w in windows:
+            for theta, cells in zip(thetas, got[w]):
+                blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
+                assert np.array_equal(cells, tally_blocks(blk, w, n_blocks))
+
+    def test_workers_follow_the_affinity_and_the_chunks(self):
+        p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=100, seed=2)
+        seen = []
+
+        def spy(max_workers):
+            seen.append(max_workers)
+            return real(max_workers)
+
+        real = pipeline.ThreadPoolExecutor
+        with mock.patch.object(pipeline, "ThreadPoolExecutor", side_effect=spy), \
+                mock.patch.object(pipeline, "_CHUNK", 30), \
+                mock.patch.object(pipeline.os, "sched_getaffinity", return_value={0, 1, 2}):
+            ThetaEngine(p).block_counts_at(1.0)  # 4 chunks on 3 CPUs: 2 more threads
+            with mock.patch.object(pipeline, "_WORKERS", 8):
+                ThetaEngine(p).block_counts_at(1.0)  # 8 workers, but 4 chunks
+            with mock.patch.object(pipeline, "_WORKERS", 1):
+                ThetaEngine(p).block_counts_at(1.0)  # no thread
+        assert seen == [2, 3]
+
+    @pytest.mark.parametrize("first_trial", [1.5, True, np.float64(2.0), "1", -1])
+    def test_offset_must_be_an_integer(self, first_trial):
+        p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=10, seed=2)
+        with pytest.raises((ValueError, TypeError)) as err:
+            ThetaEngine(p, first_trial=first_trial)
+        if not isinstance(first_trial, str):
+            assert err.type is ValueError and "first_trial" in str(err.value)
+
+    def test_trials_stop_at_the_last_counter(self):
+        p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=10, seed=2)
+        last = ThetaEngine(p, first_trial=2**64 - 10)  # trials up to 2**64 - 1
+        assert last.block_counts_at(1.0).sum() >= 0
+        for first in (2**64 - 9, 2**64):
+            with pytest.raises(ValueError, match="past 2\\*\\*64"):
+                ThetaEngine(p, first_trial=first)

@@ -59,3 +59,29 @@ def test_uniformity_chi_square():
 def test_invalid_arguments_rejected():
     with pytest.raises(ValueError):
         uniform_block(1, 10, 5, 4)
+
+
+@pytest.mark.parametrize("first, last", [(1.5, 3), (True, 3), (0, 2.0), (0, False),
+                                         (np.float64(1.0), 3)])
+def test_trial_bounds_must_be_integers(first, last):
+    with pytest.raises(ValueError, match="must be an integer"):
+        uniform_block(1, first, last, 1)
+
+
+def test_range_must_not_wrap_past_the_last_counter():
+    # trials 2**64 and 2**64 + 1 would wrap onto trials 0 and 1 and reuse their draws
+    with pytest.raises(ValueError, match="past 2\\*\\*64"):
+        uniform_block(1, 2**64 - 3, 2**64 + 2, 1)
+    with pytest.raises(ValueError, match="first_trial must be >= 0"):
+        uniform_block(1, -1, 2, 1)
+    top = uniform_block(1, 2**64 - 3, 2**64, 2)
+    assert top.shape == (2, 3)
+    assert not np.isin(top, uniform_block(1, 0, 2, 2)).any()
+
+
+def test_numpy_integers_and_out_buffers():
+    ref = uniform_block(4, 10, 30, 3)
+    assert np.array_equal(uniform_block(4, np.int64(10), np.uint64(30), 3), ref)
+    out, work = np.empty((3, 20)), np.empty((3, 20), dtype=np.uint64)
+    assert uniform_block(4, 10, 30, 3, out=out, work=work) is out
+    assert out.tobytes() == ref.tobytes()

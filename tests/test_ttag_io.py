@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -80,6 +81,22 @@ class TestEventStream:
             EventStream([-1], [0], [1])  # negative tag
         with pytest.raises(ValueError):
             EventStream([1, 2], [0], [1, 1])  # ragged columns
+
+    @pytest.mark.parametrize("columns, message", [
+        (([0, 5, 4], [0, 0, 0], [1, 1, 1]), "tags must be non-decreasing"),
+        (([0, -1], [0, 0], [1, 1]), "tags must be non-negative"),
+        (([0, 1], [0, -3], [1, 1]), "setting indices must be non-negative"),
+        (([0, 1], [0, 0], [1, 0]), "outcomes must be -1 or +1"),
+        (([0, 1], [0, 0], [-2, 1]), "outcomes must be -1 or +1"),
+        (([0, 1], [0, 0], [1], ), "column lengths differ"),
+    ])
+    def test_each_fault_is_named(self, columns, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EventStream(*columns)
+
+    def test_empty_and_equal_tags_pass(self):
+        assert len(EventStream([], [], [])) == 0
+        assert len(EventStream([7, 7, 7], [2, 0, 1], [-1, 1, -1])) == 3
 
 
 class TestTtagRoundTrip:
