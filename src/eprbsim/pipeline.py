@@ -70,11 +70,9 @@ def _draw_buffers(size: int):
 
 
 def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
+    """The number of CPUs this process may run on (all of them where there is no affinity)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _each_chunk(n: int, make, work) -> None:
@@ -83,9 +81,9 @@ def _each_chunk(n: int, make, work) -> None:
     ``starts`` yields the first trial of each ``_CHUNK`` of ``n`` trials and
     is shared, so every chunk goes to one worker.  Each worker's ``buffers``
     come from ``make()``, called in this thread before any worker starts, so
-    a worker fills its buffers and allocates nothing a chunk long.  This
-    thread is one of the workers, so one worker starts no thread, and every
-    thread a call starts has ended when it returns.
+    a worker's chunk loop reuses buffers made once a call.  This thread is
+    one of the workers, so one worker starts no thread, and every thread a
+    call starts has ended when it returns.
     """
     chunks = range(0, n, _CHUNK)
     workers = min(_WORKERS or _cpus(), len(chunks))
