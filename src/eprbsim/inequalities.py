@@ -160,8 +160,8 @@ class _CurveMaximizer:
 
     def s_of(self, quad_angles) -> float:
         a, b, c, d = quad_angles
-        return float(self.e_of(a - c) - self.e_of(a - d)
-                     + self.e_of(b - c) + self.e_of(b - d))
+        e_ac, e_ad, e_bc, e_bd = self.e_of(np.array([a - c, a - d, b - c, b - d]))
+        return float(e_ac - e_ad + e_bc + e_bd)
 
     def maximize(self):
         m = max(8, int(round(2.0 * math.pi / _COARSE_STEP)))

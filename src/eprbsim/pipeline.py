@@ -8,19 +8,17 @@ it merely avoids regenerating the draws and the station-1 events per point.
 
 An engine reads the ``params.n_trials`` trials starting at ``first_trial`` of
 the seed's counter stream, so engines at offsets a multiple of ``n_trials``
-apart see disjoint, independent ensembles of the same size.  It builds and
-tallies ``_CHUNK`` trials at a time.  A call tallies its grid of angles in
-as few passes over the ensemble as its count tables allow: each chunk is
-built, or read, once a pass and counted at every angle of the pass while it
-is in cache.  A call of one pass streams its chunks and keeps no ensemble; a
-call of several keeps the ensemble's columns, 33 bytes a trial, and reads
-them on each pass.  One angle's table beyond ``_TABLE_LIMIT`` bytes is
-refused before any is made.
+apart see disjoint, independent ensembles of the same size.  Every call makes
+one pass over the ensemble: each ``_CHUNK`` of trials is built, counted at
+every angle of the call while it is in cache, and let go, so no call keeps
+an ensemble.  A trial is counted by its window class, so an angle's table
+holds one row per asked window, not one per tag difference.  One angle's
+table beyond ``_TABLE_LIMIT`` bytes is refused before any is made.
 
-The chunks of a build or a pass are shared among worker threads, one for
-each CPU the process may run on.  A chunk's draws depend only on its trial
-indices, and the count tables are integers, so every result is
-byte-identical at any number of workers and in any order of chunks.
+The chunks of a pass are shared among worker threads, one for each CPU the
+process may run on.  A chunk's draws depend only on its trial indices, and
+the count tables are integers, so every result is byte-identical at any
+number of workers and in any order of chunks.
 """
 
 from __future__ import annotations
@@ -50,10 +48,7 @@ from .model import (
 )
 from .rng import check_trials
 
-_CACHE_LIMIT = 8 * 10**6  # largest ensemble kept, in trials
-_CHUNK = 1 << 15  # trials per step of a build or a pass; fits in L2
-_KEPT_BYTES = 33  # bytes a kept trial takes
-_TABLE_BUDGET = 2 << 20  # bytes of count tables one of several passes fills
+_CHUNK = 1 << 15  # trials per step of a pass; fits in L2
 _TABLE_LIMIT = 1 << 28  # bytes of one angle's count table
 _WORKERS = None  # threads a call runs on; None: as many as the CPUs this process may use
 
@@ -117,45 +112,34 @@ class ThetaEngine:
     """Evaluates correlation estimates over relative angles at a shared seed.
 
     A tally reads, for each trial, station 2's ``-sx``, ``-sz`` and
-    ``lambda2`` (24 bytes a trial) and station 1's ``k1`` (8) and ``x1``
-    (1), ``_KEPT_BYTES`` in all.  Every setting lies in the xz-plane, so the
-    engine needs no ``sy``: station 1 projects ``s`` as ``sz`` and station 2
-    as ``sx * ax + sz * az``.
+    ``lambda2`` and station 1's ``k1`` and ``x1``.  Every setting lies in the
+    xz-plane, so the engine needs no ``sy``: station 1 projects ``s`` as
+    ``sz`` and station 2 as ``sx * ax + sz * az``.
 
-    Keep or stream.  Construction builds nothing.  A call whose count tables
-    fit in one pass builds each chunk, tallies it and lets it go, so it
-    holds no ensemble.  A call that needs several passes first keeps the
-    columns of the whole ensemble, if it has at most ``_CACHE_LIMIT``
-    trials, and reads them on each pass; later calls read them too.  A
-    larger ensemble is built afresh on each pass.  One pass holds the tables
-    of as many angles as fit ``_TABLE_BUDGET``, or of every angle when they
-    fit in the bytes a kept ensemble would take.  The rule reads only the
-    call: today the figure sweeps (37 angles at 100 blocks) make several
-    passes, and the selection grid, the held-out legs and the gamma grids
-    make one.
-
-    Workers.  The chunks of a build or a pass are shared among
-    ``_WORKERS`` threads, the calling thread one of them; numpy lets go of
-    the interpreter lock in the draws, the transform and the station law.
-    Each worker's chunk buffers are allocated once a call, in the calling
-    thread, and a pass's count tables are shared: a worker adds its chunk's
-    counts to an angle's table under that table's lock.
+    Construction builds nothing.  A call streams the ensemble once: its
+    chunks are shared among ``_WORKERS`` threads, the calling thread one of
+    them; numpy lets go of the interpreter lock in the draws, the transform
+    and the station law.  Each worker's chunk buffers are allocated once a
+    call, in the calling thread, and the count tables are shared: a worker
+    adds its chunk's counts to an angle's table under that table's lock.
 
     ``block_counts_over`` tallies a grid of angles: station 1's sign bits
     ``[x1 < 0]`` and the chunk's block spans are formed once a chunk, and
     every angle is counted on the chunk while it is in cache;
     ``block_counts_at`` is its one-angle case.  One tally of an angle counts
-    every window at once: ``add_cells`` with ``|k1 - k2|`` as the group,
-    one ``bincount`` per jackknife block, summed cumulatively over ``|k1 -
-    k2|`` in place.  An angle's int64 table takes ``32 * (top + 1)`` bytes a
-    block, ``top`` being the widest window it resolves (915 kB at 100
-    blocks and ``top = 285``).
+    every asked window at once.  The windows' bounds are the sorted distinct
+    ``min(w, max_tag + 1)``, and a trial's class is the number of bounds at
+    or below its ``|k1 - k2|``; ``add_cells`` counts the classes as its
+    group, one ``bincount`` per jackknife block, and the table is then
+    summed cumulatively over the classes in place.  An angle's int64 table
+    takes ``32`` bytes a block for each bound, and one more row when the
+    widest bound is within ``max_tag`` (12,800 bytes at 100 blocks and
+    windows 1, 16 and 285).
     """
 
     def __init__(self, params: SimParams, first_trial: int = 0):
         self.first_trial, _ = check_trials(first_trial, first_trial + params.n_trials)
         self.params = params
-        self._kept = None
 
     def _build(self, lo: int, draws, sx, sz, lam2, x1, k1) -> None:
         """Write the chunk of trials from ``lo`` into the given ``_columns`` views.
@@ -174,70 +158,39 @@ class ThetaEngine:
         np.multiply(x1, np.int8(-2), out=x1)
         x1 += 1
 
-    def _keep(self) -> None:
-        """Keep the columns of the whole ensemble, built on every worker."""
-        n = self.params.n_trials
-        kept = _columns(n)
+    def _cumulative(self, thetas, edges: np.ndarray, bounds: list[int]) -> np.ndarray:
+        """Each angle's ``(n_blocks, len(bounds), 4)`` table; row ``i`` holds window ``bounds[i]``.
 
-        def work(starts, draws):
-            for lo in starts:
-                self._build(lo, draws, *(col[lo:lo + _CHUNK] for col in kept))
-
-        _each_chunk(n, lambda: _draw_buffers(min(n, _CHUNK)), work)
-        self._kept = kept
-
-    def _passes(self, thetas, edges: np.ndarray, top: int, pick) -> dict:
-        """``{theta: picked}`` for the distinct ``thetas``, in as few passes as fit.
-
-        Each pass's tables, ``_cumulative(group, edges, top)``, fit
-        ``_TABLE_BUDGET``, or every angle goes in one pass when their tables
-        fit the bytes a kept ensemble would take; ``pick`` maps them to one
-        array per angle, so no group's tables outlive its pass.  Only a call
-        of several passes keeps the ensemble.
-        """
-        n = self.params.n_trials
-        size = _table_bytes(top, len(edges) - 1)
-        keeps = n <= _CACHE_LIMIT
-        group = len(thetas)
-        if group * size > max(_TABLE_BUDGET, _KEPT_BYTES * n if keeps else 0):
-            group = max(1, _TABLE_BUDGET // size)
-        if group < len(thetas) and keeps and self._kept is None:
-            self._keep()
-        picked = {}
-        for i in range(0, len(thetas), group):
-            batch = thetas[i:i + group]
-            picked.update(zip(batch, pick(self._cumulative(batch, edges, top))))
-        return picked
-
-    def _cumulative(self, thetas, edges: np.ndarray, top: int) -> np.ndarray:
-        """The ``(len(thetas), n_blocks, top + 1, 4)`` tables: row ``j`` counts ``|k1 - k2| <= j``.
-
-        Differences above ``top`` are counted in the last row, so row
-        ``min(w, top + 1) - 1`` holds window ``w`` for every ``w <= top`` and,
-        when ``top`` is ``max_tag``, for every ``w``.  One pass: each chunk is
-        read from the kept columns, or built into a chunk-sized set, once;
-        station 1's sign bits and the chunk's block spans are formed once;
-        and every angle is counted on it while it is in cache.
+        ``bounds`` are sorted distinct windows of at most ``max_tag + 1``.  A
+        trial's class, the number of bounds at or below its ``dk = |k1 -
+        k2|``, is read from a table of the ``top + 1`` differences the bounds
+        tell apart, ``top = min(max_tag, bounds[-1])``; a wider difference
+        has the class of ``top``.  When the bounds are ``1..len(bounds)`` the
+        class is ``min(dk, top)``, with no table.  One pass: each chunk is
+        built once, station 1's sign bits and the chunk's block spans are
+        formed once, and every angle is counted on it while it is in cache.
         """
         p, n = self.params, self.params.n_trials
+        top = min(p.max_tag, bounds[-1])
+        # one class a bound, and one past the widest if some dk reaches it
+        classes = len(bounds) + (bounds[-1] <= top)
+        lut = None
+        if bounds[-1] != len(bounds):
+            lut = np.searchsorted(bounds, np.arange(top + 1), side="right")
         axes = [Setting.from_polar(t).vec[::2].tolist() for t in thetas]  # its y is 0
-        hist = np.zeros((len(thetas), len(edges) - 1, 4 * (top + 1)), dtype=np.int64)
+        hist = np.zeros((len(thetas), len(edges) - 1, 4 * classes), dtype=np.int64)
         locks = [threading.Lock() for _ in thetas]  # one worker at a time adds to a table
-        size, kept = min(n, _CHUNK), self._kept
+        size = min(n, _CHUNK)
 
         def make():
-            build = (_draw_buffers(size), _columns(size)) if kept is None else None
-            return (np.empty((2, size)), np.empty((2, size), dtype=bool),
-                    np.empty(size, dtype=np.int64), build)
+            return (_draw_buffers(size), _columns(size), np.empty((2, size)),
+                    np.empty((2, size), dtype=bool), np.empty((2, size), dtype=np.int64))
 
         def work(starts, buffers):
-            (proj, term), (neg1, neg2), k2, build = buffers
+            draws, build, (proj, term), (neg1, neg2), (k2, group) = buffers
             for lo in starts:
-                if build is None:
-                    cols = [col[lo:lo + _CHUNK] for col in kept]
-                else:
-                    cols = [col[:n - lo] for col in build[1]]
-                    self._build(lo, build[0], *cols)
+                cols = [col[:n - lo] for col in build]
+                self._build(lo, draws, *cols)
                 sx, sz, lam2, x1, k1 = cols
                 m = len(sx)
                 np.less(x1, 0, out=neg1[:m])
@@ -249,49 +202,52 @@ class ThetaEngine:
                                               out=(neg2[:m], k2[:m]), tmp=term[:m])
                     np.subtract(k1, dk, out=dk)
                     np.abs(dk, out=dk)
-                    if top < p.max_tag:
+                    if lut is not None:
+                        dk = np.take(lut, dk, out=group[:m], mode="clip")
+                    elif top < p.max_tag:
                         np.minimum(dk, top, out=dk)
                     with lock:
                         add_cells(out, dk, neg1[:m], neg, spans)
 
-        _each_chunk(n, make, work)
-        table = hist.reshape(len(thetas), len(edges) - 1, top + 1, 4)
-        return np.cumsum(table, axis=2, out=table)
+        if thetas:
+            _each_chunk(n, make, work)
+        table = hist.reshape(len(thetas), len(edges) - 1, classes, 4)
+        return np.cumsum(table, axis=2, out=table)[:, :, :len(bounds)]
 
     def block_counts_over(self, thetas, w_bins=None,
                           n_blocks: int = JACKKNIFE_BLOCKS):
         """Per-block cell counts at every angle of ``thetas``, for one or many windows.
 
-        ``w_bins`` may be an int, a sequence of ints, or None (the params
-        window).  Returns the ``(len(thetas), n_blocks, 4)`` count array for a
-        single window, or a dict of them keyed by window, in first-seen
-        order, for a sequence.  Every window of an angle comes from one tally
-        of it, and the distinct angles are tallied together, in as few passes
-        over the ensemble as ``_TABLE_BUDGET`` allows.
+        ``w_bins`` may be an int, a non-empty sequence of ints, or None (the
+        params window).  Returns the ``(len(thetas), n_blocks, 4)`` count
+        array for a single window, or a dict of them keyed by window, in
+        first-seen order, for a sequence.  The distinct angles and windows
+        are tallied together in one pass over the ensemble.
         """
         windows = self.params.w_bins if w_bins is None else w_bins
         single = np.isscalar(windows)
         window_list = list(dict.fromkeys(map(check_window, [windows] if single else windows)))
+        if not window_list:
+            raise ValueError("w_bins must name at least one window, got an empty sequence")
         thetas = [float(t) for t in thetas]
 
         p = self.params
         edges = block_edges(p.n_trials, n_blocks)
-        top = min(p.max_tag, max(window_list))
-        size = _table_bytes(top, len(edges) - 1)
+        size = _table_bytes(min(p.max_tag, max(window_list)), len(edges) - 1)
         if size > _TABLE_LIMIT:
             raise ValueError(
                 f"one angle's count table needs {size} bytes, over the {_TABLE_LIMIT}-byte "
                 f"limit (w_bins={max(window_list)}, t0_ratio={p.t0_ratio!r}, "
                 f"n_blocks={n_blocks}); ask for a narrower window or fewer blocks")
 
-        def rows(tables):  # each angle's (windows, n_blocks, 4) rows, copied off the tables
-            asked = tables[..., [min(w, tables.shape[-2]) - 1 for w in window_list], :]
-            return asked.swapaxes(1, 2)
-
-        picked = self._passes(list(dict.fromkeys(thetas)), edges, top, rows)
-        counts = np.empty((len(window_list), len(thetas), len(edges) - 1, 4), dtype=np.int64)
-        for i, t in enumerate(thetas):
-            counts[:, i] = picked[t]
+        clipped = [min(w, p.max_tag + 1) for w in window_list]
+        bounds = sorted(set(clipped))
+        row = {b: i for i, b in enumerate(bounds)}
+        distinct = list(dict.fromkeys(thetas))
+        angle = {t: i for i, t in enumerate(distinct)}
+        tables = self._cumulative(distinct, edges, bounds)
+        picked = tables[:, :, [row[b] for b in clipped]][[angle[t] for t in thetas]]
+        counts = np.ascontiguousarray(picked.transpose(2, 0, 1, 3))
         return counts[0] if single else dict(zip(window_list, counts))
 
     def block_counts_at(self, theta: float, w_bins=None,

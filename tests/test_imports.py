@@ -145,3 +145,19 @@ def test_a_tally_leaves_no_thread_running():
         module = importlib.import_module(f"eprbsim.{path.stem}")
         assert not [name for name, value in vars(module).items()
                     if isinstance(value, (threading.Thread, Executor))]
+
+
+def test_benchmark_finds_every_traced_function(monkeypatch):
+    # a traced benchmark run wraps these functions of the program, as their
+    # callers bind them; only a method deleted on purpose may be missing
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    import run
+    import tracing
+
+    importlib.import_module("eprbsim.cli")
+    tracer = tracing.Tracer()
+    try:
+        missing = tracer.install(run.trace_targets(eprbsim))
+    finally:
+        tracer.uninstall()
+    assert set(missing) <= {"ThetaEngine.gamma_at"}

@@ -237,11 +237,11 @@ class TestHeldOutLegs:
 
     def test_offset_engine_chunked_matches_cached(self):
         n = self.P.n_trials
-        cached = ThetaEngine(self.P, first_trial=2 * n)
-        with mock.patch.object(pipeline, "_CACHE_LIMIT", 0):
-            chunked = ThetaEngine(self.P, first_trial=2 * n)
-        assert np.array_equal(chunked.block_counts_at(1.0), cached.block_counts_at(1.0))
-        assert not np.array_equal(cached.block_counts_at(1.0),
+        whole = ThetaEngine(self.P, first_trial=2 * n).block_counts_at(1.0)  # one chunk
+        with mock.patch.object(pipeline, "_CHUNK", 777):  # chunk ends inside the blocks
+            chunked = ThetaEngine(self.P, first_trial=2 * n).block_counts_at(1.0)
+        assert np.array_equal(chunked, whole)
+        assert not np.array_equal(whole,
                                   ThetaEngine(self.P).block_counts_at(1.0))
 
     def test_negative_offset_rejected(self):

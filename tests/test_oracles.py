@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from eprbsim import (
     s_value,
     smax_quantum,
 )
-from eprbsim import pipeline
 from eprbsim.pipeline import ThetaEngine
 
 SQRT2 = math.sqrt(2.0)
@@ -121,9 +119,8 @@ class TestSimulatorAgainstOracles:
     def test_singlet_limit_on_coarse_grid(self):
         # small window, long delay range: E approaches -cos theta
         p = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=10**6, seed=123)
-        engine = ThetaEngine(p)
-        for t in np.linspace(0.0, math.pi, 13):
-            est = engine.estimate_at(float(t))
+        grid = np.linspace(0.0, math.pi, 13)
+        for t, est in zip(grid, ThetaEngine(p).estimates_over(grid)):
             assert abs(est.e + math.cos(t)) <= 0.02
 
     @pytest.mark.slow
@@ -135,9 +132,7 @@ class TestSimulatorAgainstOracles:
         errs = []
         for t0, n in ((100.0, 2 * 10**5), (1000.0, 2 * 10**6), (10000.0, 2 * 10**7)):
             p = SimParams(w_bins=1, t0_ratio=t0, d=3.0, n_trials=n, seed=4)
-            with mock.patch.object(pipeline, "_CACHE_LIMIT", 2 * 10**7):
-                engine = ThetaEngine(p)
-            scaled = np.array([engine.estimate_at(t, n_blocks=1).gamma * t0
-                               for t in grid])
+            scaled = np.array([est.gamma * t0
+                               for est in ThetaEngine(p).estimates_over(grid, n_blocks=1)])
             errs.append(float(np.mean(np.abs(scaled - limits))))
         assert errs[0] > errs[1] > errs[2]

@@ -3,11 +3,11 @@ scenario tables must reproduce these exact outputs.
 
 Speed work on the simulate-and-tally path must leave every table
 byte-identical, so these digests were recorded once and are compared here
-rather than between two runs of the same code.  The engine property test
-checks the cached and chunked engines against the per-block reference tally
-of ``run_pairs``.  The stream-matching pins cover ``match_streams`` on
-random multi-setting streams and on the exported layout of four blocks; the
-TTAG-CSV pins cover the writer's bytes on two streams.
+rather than between two runs of the same code.  The engine property tests
+check the engine at any chunk size, window set and worker count against the
+per-block reference tally of ``run_pairs``.  The stream-matching pins cover
+``match_streams`` on random multi-setting streams and on the exported layout
+of four blocks; the TTAG-CSV pins cover the writer's bytes on two streams.
 """
 
 import hashlib
@@ -171,17 +171,15 @@ _CRAFTED_SPINS = np.array([
 _CRAFTED_THETAS = [0.0, math.pi / 2, math.pi, -math.pi / 2, 1.0]
 
 
-def keeping(p):
-    """An engine that has kept its ensemble: a call of two passes keeps it.
-
-    No grid fits one pass when a kept trial is taken to cost nothing and the
-    budget is one byte, so the two angles go in a pass each.
-    """
-    engine = ThetaEngine(p)
-    with mock.patch.multiple(pipeline, _TABLE_BUDGET=1, _KEPT_BYTES=0):
-        engine.block_counts_over([0.0, 1.0], 1, n_blocks=1)
-    assert engine._kept is not None
-    return engine
+def built_columns(engine, chunk):
+    """The engine's ``-sx``, ``-sz``, ``lambda2``, ``x1`` and ``k1`` over its
+    whole range, as ``_build`` writes them ``chunk`` trials at a time."""
+    n = engine.params.n_trials
+    cols = pipeline._columns(n)
+    draws = pipeline._draw_buffers(min(n, chunk))
+    for lo in range(0, n, chunk):
+        engine._build(lo, draws, *(col[lo:lo + chunk] for col in cols))
+    return cols
 
 
 class TestEngineMatchesReferenceTally:
@@ -206,8 +204,7 @@ class TestEngineMatchesReferenceTally:
         cached = engine.block_counts_at(theta, windows, n_blocks)
         # a chunk size that is no multiple of the block size puts chunk
         # boundaries inside jackknife blocks
-        with mock.patch.object(pipeline, "_CHUNK", chunk), \
-                mock.patch.object(pipeline, "_CACHE_LIMIT", 0):
+        with mock.patch.object(pipeline, "_CHUNK", chunk):
             chunked = ThetaEngine(p).block_counts_at(theta, windows, n_blocks)
         for got in (cached, chunked):
             assert got.keys() == expected.keys()
@@ -233,17 +230,13 @@ class TestEngineMatchesReferenceTally:
         seed=st.integers(0, 2**64 - 1),
         n_trials=st.integers(1, 300),
         chunk=st.sampled_from([1, 37, 600, pipeline._CHUNK]),
-        cached=st.booleans(),
-        budget=st.sampled_from([1, 2500, pipeline._TABLE_BUDGET]),
     )
     def test_batch_matches_reference_at_every_angle(self, data, thetas, n_blocks, d, t0_ratio,
-                                                    seed, n_trials, chunk, cached, budget):
+                                                    seed, n_trials, chunk):
         p = SimParams(w_bins=1, t0_ratio=t0_ratio, d=d, n_trials=n_trials, seed=seed)
         windows = data.draw(st.lists(st.integers(1, p.max_tag + 1), min_size=1, max_size=3))
         thetas = thetas + thetas[:1]  # a repeated angle
-        # a small budget splits the batch into groups of one or two angles
-        with mock.patch.multiple(pipeline, _CHUNK=chunk, _TABLE_BUDGET=budget,
-                                 _CACHE_LIMIT=pipeline._CACHE_LIMIT if cached else 0):
+        with mock.patch.object(pipeline, "_CHUNK", chunk):
             engine = ThetaEngine(p)
             got = engine.block_counts_over(thetas, windows, n_blocks)
             merged = engine.block_counts_over(thetas, windows, 1)
@@ -358,13 +351,12 @@ class TestEngineMatchesReferenceTally:
                         keep_hidden=True)
         sx, _, sz, _, lam2 = blk.hidden
         windows = [1, 3, p.max_tag, p.max_tag + 1]
-        # the cache stays on, so chunk boundaries fall inside the kept columns
-        # and inside the jackknife blocks the tallies read from them
+        engine = ThetaEngine(p)
+        expected = (-sx, -sz, lam2, blk.x1, blk.k1)
+        assert [(a.dtype, a.tobytes()) for a in built_columns(engine, chunk)] == [
+            (a.dtype, a.tobytes()) for a in expected]
+        # chunk boundaries fall inside the jackknife blocks the tallies count
         with mock.patch.object(pipeline, "_CHUNK", chunk):
-            engine = keeping(p)
-            expected = (-sx, -sz, lam2, blk.x1, blk.k1)
-            assert [(a.dtype, a.tobytes()) for a in engine._kept] == [
-                (a.dtype, a.tobytes()) for a in expected]
             for n_blocks in (1, 7, 100):
                 got = engine.block_counts_at(theta, windows, n_blocks)
                 for w in windows:
@@ -399,15 +391,17 @@ class TestEngineMatchesReferenceTally:
             return (sx[first:last].copy(), None, sz[first:last].copy(),
                     lam[first:last].copy(), lam[first:last].copy())
 
-        with mock.patch.object(pipeline, "_hidden_arrays", crafted):
-            engine = keeping(p)
-        assert np.array_equal(engine._kept[3], x1) and np.array_equal(engine._kept[4], k1)
-        blk = TrialBlock(p, x1, k1, x2, k2)
         windows = list(range(1, p.max_tag + 2))
-        got = engine.block_counts_at(theta, windows, n_blocks=len(lam))
+        with mock.patch.object(pipeline, "_hidden_arrays", crafted):
+            engine = ThetaEngine(p)
+            built = built_columns(engine, len(lam))
+            got = engine.block_counts_at(theta, windows, n_blocks=len(lam))
+        assert np.array_equal(built[3], x1) and np.array_equal(built[4], k1)
+        blk = TrialBlock(p, x1, k1, x2, k2)
         assert all(np.array_equal(got[w], tally_blocks(blk, w, len(lam))) for w in windows)
 
     def test_kept_memory(self):
+        # no call leaves an ensemble, or any other array, on the engine
         def held(engine):
             arrays = [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
             arrays += [a for v in vars(engine).values() if isinstance(v, tuple)
@@ -415,31 +409,21 @@ class TestEngineMatchesReferenceTally:
             return sum(a.nbytes for a in arrays)
 
         p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=1001, seed=2)
-        # 17 angles' tables at 100 blocks and max_tag + 1 = 39 windows (124,800
-        # bytes each) pass both the budget and the 33 bytes a trial a kept
-        # ensemble would take, so that grid takes several passes; any one
-        # angle, or the whole grid at one block, takes one
+        # one angle; 17 angles at one block; 17 angles at 100 blocks and
+        # every window up to max_tag + 1 = 39 (124,800 bytes of tables each);
+        # and their estimates
         thetas = np.linspace(0.0, math.pi, 17)
-        assert 17 * 32 * 39 * 100 > max(pipeline._TABLE_BUDGET, 33 * p.n_trials)
         engine = ThetaEngine(p)
         assert held(engine) == 0
-        engine.block_counts_at(1.0, 39)
-        engine.block_counts_over(thetas, 39, n_blocks=1)
-        assert held(engine) == 0 and engine._kept is None
-        engine.block_counts_over(thetas, 39)
-        assert held(engine) == 33 * p.n_trials
-        with mock.patch.object(pipeline, "_CACHE_LIMIT", p.n_trials):
-            engine = ThetaEngine(p)
-            engine.block_counts_over(thetas, 39)
-        assert held(engine) == 33 * p.n_trials
-        with mock.patch.object(pipeline, "_CACHE_LIMIT", p.n_trials - 1):
-            engine = ThetaEngine(p)
-            engine.block_counts_over(thetas, 39)
-        assert held(engine) == 0 and engine._kept is None
+        for call in (lambda: engine.block_counts_at(1.0, 39),
+                     lambda: engine.block_counts_over(thetas, 39, n_blocks=1),
+                     lambda: engine.block_counts_over(thetas, range(1, 40)),
+                     lambda: engine.estimates_over(thetas, 16)):
+            call()
+            assert held(engine) == 0 and set(vars(engine)) == {"params", "first_trial"}
 
     @settings(max_examples=40, deadline=None)
     @given(
-        data=st.data(),
         thetas=st.lists(st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
                         min_size=1, max_size=4),
         n_blocks=st.sampled_from([1, 7, 100]),
@@ -449,20 +433,40 @@ class TestEngineMatchesReferenceTally:
         n_trials=st.integers(1, 300),
         chunk=st.sampled_from([1, 37, 600, pipeline._CHUNK]),
         workers=st.sampled_from([1, 2, 3]),
-        kept=st.booleans(),
+        windows=st.sampled_from(["figure", "one", "every", "past"]),
     )
-    def test_batch_at_any_worker_count(self, data, thetas, n_blocks, d, t0_ratio, seed,
-                                       n_trials, chunk, workers, kept):
+    def test_batch_at_any_worker_count(self, thetas, n_blocks, d, t0_ratio, seed,
+                                       n_trials, chunk, workers, windows):
         p = SimParams(w_bins=1, t0_ratio=t0_ratio, d=d, n_trials=n_trials, seed=seed)
-        windows = data.draw(st.lists(st.integers(1, p.max_tag + 1), min_size=1, max_size=3))
+        # the figure's windows, classes by a table; one window; every window,
+        # classes by the clamp; and one window past max_tag, a single class
+        windows = {"figure": [1, 16, 285], "one": [3], "every": list(range(1, p.max_tag + 2)),
+                   "past": [p.max_tag + 5]}[windows]
         with mock.patch.multiple(pipeline, _CHUNK=chunk, _WORKERS=workers):
-            engine = keeping(p) if kept else ThetaEngine(p)
-            got = engine.block_counts_over(thetas, windows, n_blocks)
-        assert (engine._kept is not None) == kept  # a one-pass call streams
+            got = ThetaEngine(p).block_counts_over(thetas, windows, n_blocks)
+        assert list(got) == windows
         for w in windows:
             for theta, cells in zip(thetas, got[w]):
                 blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
                 assert np.array_equal(cells, tally_blocks(blk, w, n_blocks))
+
+    def test_empty_angle_grid_builds_nothing(self):
+        p = SimParams(w_bins=16, t0_ratio=37.5, d=3.0, n_trials=500, seed=2)
+        engine = ThetaEngine(p)
+        with mock.patch.object(pipeline, "_hidden_arrays", side_effect=AssertionError):
+            for got, n_blocks in ((engine.block_counts_over([]), 100),
+                                  (engine.block_counts_over([], 3, n_blocks=7), 7)):
+                assert got.shape == (0, n_blocks, 4) and got.dtype == np.int64
+            many = engine.block_counts_over([], [1, 16, 285])
+            assert list(many) == [1, 16, 285]
+            assert all(c.shape == (0, 100, 4) and c.dtype == np.int64 for c in many.values())
+            assert engine.estimates_over([]) == []
+
+    def test_empty_window_list_is_named(self):
+        p = SimParams(w_bins=16, t0_ratio=37.5, d=3.0, n_trials=500, seed=2)
+        for windows in ([], (), range(1, 1)):
+            with pytest.raises(ValueError, match="at least one window"):
+                ThetaEngine(p).block_counts_over([0.5], windows)
 
     def test_workers_follow_the_affinity_and_the_chunks(self):
         p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=100, seed=2)
