@@ -12,8 +12,9 @@ apart see disjoint, independent ensembles of the same size.  Every call makes
 one pass over the ensemble: each ``_CHUNK`` of trials is built, counted at
 every angle of the call while it is in cache, and let go, so no call keeps
 an ensemble.  A trial is counted by its window class, so an angle's table
-holds one row per asked window, not one per tag difference.  One angle's
-table beyond ``_TABLE_LIMIT`` bytes is refused before any is made.
+holds one row per asked window, not one per tag difference.  A call that
+resolves more tag differences than ``_TABLE_LIMIT`` allows, at 32 bytes a
+difference and jackknife block, is refused before anything is made.
 
 The chunks of a pass are shared among worker threads, one for each CPU the
 process may run on.  A chunk's draws depend only on its trial indices, and
@@ -49,7 +50,7 @@ from .model import (
 from .rng import check_trials
 
 _CHUNK = 1 << 15  # trials per step of a pass; fits in L2
-_TABLE_LIMIT = 1 << 28  # bytes of one angle's count table
+_TABLE_LIMIT = 1 << 28  # bytes a call's tag-difference range may take at 32 a difference and block
 _WORKERS = None  # threads a call runs on; None: as many as the CPUs this process may use
 
 
@@ -174,6 +175,8 @@ class ThetaEngine:
         top = min(p.max_tag, bounds[-1])
         # one class a bound, and one past the widest if some dk reaches it
         classes = len(bounds) + (bounds[-1] <= top)
+        # the selection grid asks every window, so its dk is its class: a gather
+        # there cost 27 us a 2^15 chunk and angle, 10 % of smax-paper's op_s
         lut = None
         if bounds[-1] != len(bounds):
             lut = np.searchsorted(bounds, np.arange(top + 1), side="right")
@@ -233,12 +236,15 @@ class ThetaEngine:
 
         p = self.params
         edges = block_edges(p.n_trials, n_blocks)
-        size = _table_bytes(min(p.max_tag, max(window_list)), len(edges) - 1)
+        top = min(p.max_tag, max(window_list))
+        size = _table_bytes(top, len(edges) - 1)
         if size > _TABLE_LIMIT:
             raise ValueError(
-                f"one angle's count table needs {size} bytes, over the {_TABLE_LIMIT}-byte "
-                f"limit (w_bins={max(window_list)}, t0_ratio={p.t0_ratio!r}, "
-                f"n_blocks={n_blocks}); ask for a narrower window or fewer blocks")
+                f"the count table limit bounds the tag differences a call resolves: "
+                f"{top + 1} differences at 32 bytes a difference and block come to {size} "
+                f"bytes, over the {_TABLE_LIMIT}-byte limit (w_bins={max(window_list)}, "
+                f"t0_ratio={p.t0_ratio!r}, n_blocks={n_blocks}); ask for a narrower window "
+                f"or fewer blocks")
 
         clipped = [min(w, p.max_tag + 1) for w in window_list]
         bounds = sorted(set(clipped))
@@ -273,5 +279,5 @@ class ThetaEngine:
 
 
 def _table_bytes(top: int, blocks: int) -> int:
-    """Bytes of one angle's int64 count table resolving windows up to ``top``."""
+    """Bytes of a per-difference int64 table of windows up to ``top``, as the limit counts."""
     return 8 * 4 * (top + 1) * blocks

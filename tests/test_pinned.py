@@ -424,6 +424,7 @@ class TestEngineMatchesReferenceTally:
 
     @settings(max_examples=40, deadline=None)
     @given(
+        data=st.data(),
         thetas=st.lists(st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
                         min_size=1, max_size=4),
         n_blocks=st.sampled_from([1, 7, 100]),
@@ -433,18 +434,21 @@ class TestEngineMatchesReferenceTally:
         n_trials=st.integers(1, 300),
         chunk=st.sampled_from([1, 37, 600, pipeline._CHUNK]),
         workers=st.sampled_from([1, 2, 3]),
-        windows=st.sampled_from(["figure", "one", "every", "past"]),
+        windows=st.sampled_from(["figure", "one", "every", "past", "drawn"]),
     )
-    def test_batch_at_any_worker_count(self, thetas, n_blocks, d, t0_ratio, seed,
+    def test_batch_at_any_worker_count(self, data, thetas, n_blocks, d, t0_ratio, seed,
                                        n_trials, chunk, workers, windows):
         p = SimParams(w_bins=1, t0_ratio=t0_ratio, d=d, n_trials=n_trials, seed=seed)
-        # the figure's windows, classes by a table; one window; every window,
-        # classes by the clamp; and one window past max_tag, a single class
-        windows = {"figure": [1, 16, 285], "one": [3], "every": list(range(1, p.max_tag + 2)),
-                   "past": [p.max_tag + 5]}[windows]
+        # the figure's windows; one window; every window; one window past
+        # max_tag, a single class; and windows drawn in any order, repeats too
+        if windows == "drawn":
+            windows = data.draw(st.lists(st.integers(1, p.max_tag + 1), min_size=1, max_size=3))
+        else:
+            windows = {"figure": [1, 16, 285], "one": [3],
+                       "every": list(range(1, p.max_tag + 2)), "past": [p.max_tag + 5]}[windows]
         with mock.patch.multiple(pipeline, _CHUNK=chunk, _WORKERS=workers):
             got = ThetaEngine(p).block_counts_over(thetas, windows, n_blocks)
-        assert list(got) == windows
+        assert list(got) == list(dict.fromkeys(windows))
         for w in windows:
             for theta, cells in zip(thetas, got[w]):
                 blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
