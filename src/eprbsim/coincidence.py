@@ -86,22 +86,38 @@ def block_spans(edges, lo: int = 0, hi: int | None = None) -> list[tuple[int, in
     return [(b, cut[b], cut[b + 1]) for b in range(len(cut) - 1) if cut[b] < cut[b + 1]]
 
 
-def add_cells(out: np.ndarray, group: np.ndarray, neg1, neg2, spans) -> None:
-    """Add the cell counts of each span of trials into row ``b`` of ``out``.
+def cell_offsets(neg1, spans, width: int, out=None) -> np.ndarray:
+    """Each trial's station-1 part of its cell code, for :func:`add_cells`.
 
-    ``neg1`` and ``neg2`` are the bool ``[x1 < 0]`` and ``[x2 < 0]``.  A
-    trial's cell code is ``4 * group + 2 * [x1 < 0] + [x2 < 0]``, formed in
-    place in ``group``, an integer array the caller no longer needs.  For
-    each ``(b, start, stop)`` of ``spans`` (see :func:`block_spans`), row
-    ``b`` of ``out``, ``(n_blocks, 4 * n_groups)``, gains the bincount of the
-    codes of trials ``start`` to ``stop``.
+    ``neg1`` is the bool ``[x1 < 0]``.  A trial in the ``s``-th of ``spans``
+    (see :func:`block_spans`) gets ``width * s + 2 * [x1 < 0]``, ``width``
+    the cells of a block, as int64 in ``out`` or a new array.  Made once, it
+    serves every group counted on the same trials.
     """
-    cell = neg1.view(np.int8) * np.int8(2)
-    cell += neg2.view(np.int8)
+    out = np.multiply(neg1, np.int64(2), out=out, dtype=np.int64)
+    for s, (_, start, stop) in enumerate(spans[1:], 1):
+        out[start:stop] += s * width
+    return out
+
+
+def add_cells(out: np.ndarray, group: np.ndarray, offsets, neg2) -> None:
+    """Add the cell counts of each span of trials into ``out``, in one ``bincount``.
+
+    A trial's cell code is ``4 * group + 2 * [x1 < 0] + [x2 < 0]``.  ``group``
+    is an int64 array of ``m`` trials, or a ``(g, m)`` one whose rows are
+    ``g`` groupings of the same trials, and the codes are formed in place in
+    it, so the caller no longer needs it.  ``offsets`` is the trials'
+    :func:`cell_offsets`, and ``neg2`` the bool ``[x2 < 0]`` of ``group``'s
+    shape.  ``out`` is ``(n_spans, 4 * n_groups)``, one row for each span of
+    ``offsets``, or ``(g, n_spans, 4 * n_groups)`` for a ``(g, m)`` group:
+    each span's row gains the counts of its trials' codes.
+    """
     group *= 4
-    group += cell
-    for b, start, stop in spans:
-        out[b] += np.bincount(group[start:stop], minlength=out.shape[1])
+    group += offsets
+    group += neg2
+    if group.ndim == 2:  # row r of group counts into out[r]
+        group += (np.arange(len(group)) * out[0].size)[:, None]
+    out += np.bincount(group.ravel(), minlength=out.size).reshape(out.shape)
 
 
 def tally(trials: TrialBlock, w_bins: int) -> CoincidenceCounts:
@@ -117,8 +133,8 @@ def tally_blocks(trials: TrialBlock, w_bins: int,
     w = check_window(w_bins)
     edges = block_edges(len(trials), n_blocks)
     cells = np.zeros((len(edges) - 1, 8), dtype=np.int64)  # group 1: not coincident
-    add_cells(cells, (np.abs(trials.k1 - trials.k2) >= w).view(np.int8),
-              trials.x1 < 0, trials.x2 < 0, block_spans(edges))
+    add_cells(cells, (np.abs(trials.k1 - trials.k2) >= w).astype(np.int64),
+              cell_offsets(trials.x1 < 0, block_spans(edges), 8), trials.x2 < 0)
     return cells[:, :4].copy()
 
 
@@ -249,7 +265,8 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
     n_a, n_b = len(counts_a), len(counts_b)
     cells = np.zeros((1, 4 * n_a * n_b), dtype=np.int64)
     add_cells(cells, stream_a.setting_index[pa] * n_b + stream_b.setting_index[pb],
-              stream_a.x[pa] < 0, stream_b.x[pb] < 0, [(0, 0, len(pa))])
+              cell_offsets(stream_a.x[pa] < 0, [(0, 0, len(pa))], cells.shape[1]),
+              stream_b.x[pb] < 0)
     cells = cells.reshape(n_a, n_b, 4)
     return {
         (a, b): CoincidenceCounts.from_cells(cells[a, b], min(count_a, count_b))

@@ -10,11 +10,12 @@ An engine reads the ``params.n_trials`` trials starting at ``first_trial`` of
 the seed's counter stream, so engines at offsets a multiple of ``n_trials``
 apart see disjoint, independent ensembles of the same size.  Every call makes
 one pass over the ensemble: each ``_CHUNK`` of trials is built, counted at
-every angle of the call while it is in cache, and let go, so no call keeps
-an ensemble.  A trial is counted by its window class, so an angle's table
-holds one row per asked window, not one per tag difference.  A call that
-resolves more tag differences than ``_TABLE_LIMIT`` allows, at 32 bytes a
-difference and jackknife block, is refused before anything is made.
+every angle of the call while it is in cache, ``_BATCH`` angles per numpy
+call, and let go, so no call keeps an ensemble.  A trial is counted by its
+window class, so an angle's table holds one row per asked window, not one
+per tag difference.  A call whose count tables and lookup table of tag
+differences would pass ``_TABLE_LIMIT`` bytes is refused before anything is
+made.
 
 The chunks of a pass are shared among worker threads, one for each CPU the
 process may run on.  A chunk's draws depend only on its trial indices, and
@@ -37,6 +38,7 @@ from .coincidence import (
     add_cells,
     block_edges,
     block_spans,
+    cell_offsets,
     estimate,
 )
 from .model import (
@@ -50,8 +52,12 @@ from .model import (
 from .rng import check_trials
 
 _CHUNK = 1 << 15  # trials per step of a pass; fits in L2
-_TABLE_LIMIT = 1 << 28  # bytes a call's tag-difference range may take at 32 a difference and block
+_BATCH = 2  # angles a tally counts per numpy call
+_TABLE_LIMIT = 1 << 28  # bytes a call's count tables and lookup table may take
 _WORKERS = None  # threads a call runs on; None: as many as the CPUs this process may use
+
+# a trial's draw block and the draws' work of ``_hidden_arrays``
+_DRAW_LAYOUT = ((DRAWS_PER_TRIAL + 1, np.float64), (3, np.uint64))
 
 
 def _columns(n: int):
@@ -60,9 +66,30 @@ def _columns(n: int):
             np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int64))
 
 
-def _draw_buffers(size: int):
-    """The draw block and the draws' work of ``_hidden_arrays`` for ``size`` trials."""
-    return np.empty((DRAWS_PER_TRIAL + 1, size)), np.empty((3, size), dtype=np.uint64)
+def _tally_layout(g: int):
+    """Cell offsets, then a batch of ``g`` angles' projections, temporaries, tags and signs."""
+    return (1, np.int64), (g, np.float64), (g, np.float64), (g, np.int64), (g, bool)
+
+
+def _draw_buffers(size: int) -> np.ndarray:
+    """One flat byte buffer for ``size`` trials of the draws, then of a ``_BATCH`` tally.
+
+    ``_build`` writes a chunk's draws in it, and once the chunk is built the
+    tally reuses it: 64 bytes a trial hold both, up to ``_BATCH = 2``.
+    """
+    per_trial = max(sum(rows * np.dtype(dtype).itemsize for rows, dtype in layout)
+                    for layout in (_DRAW_LAYOUT, _tally_layout(_BATCH)))
+    return np.empty(per_trial * size, dtype=np.uint8)
+
+
+def _carve(buf: np.ndarray, m: int, layout) -> list[np.ndarray]:
+    """Views of ``buf`` end to end, a ``(rows, m)`` array for each ``(rows, dtype)``."""
+    views, at = [], 0
+    for rows, dtype in layout:
+        size = rows * m * np.dtype(dtype).itemsize
+        views.append(buf[at:at + size].view(dtype).reshape(rows, m))
+        at += size
+    return views
 
 
 def _cpus() -> int:
@@ -120,37 +147,44 @@ class ThetaEngine:
     Construction builds nothing.  A call streams the ensemble once: its
     chunks are shared among ``_WORKERS`` threads, the calling thread one of
     them; numpy lets go of the interpreter lock in the draws, the transform
-    and the station law.  Each worker's chunk buffers are allocated once a
-    call, in the calling thread, and the count tables are shared: a worker
-    adds its chunk's counts to an angle's table under that table's lock.
+    and the station law, but every call takes it back.  Each worker's chunk
+    buffers are allocated once a call, in the calling thread, and the count
+    tables are shared: a worker adds its chunk's counts to a batch of
+    angles' tables under that batch's lock.
 
-    ``block_counts_over`` tallies a grid of angles: station 1's sign bits
-    ``[x1 < 0]`` and the chunk's block spans are formed once a chunk, and
-    every angle is counted on the chunk while it is in cache;
-    ``block_counts_at`` is its one-angle case.  One tally of an angle counts
+    ``block_counts_over`` tallies a grid of angles: station 1's part of the
+    cell codes, ``[x1 < 0]`` and the chunk's block spans, is formed once a
+    chunk, and the angles are counted on the chunk while it is in cache,
+    ``_BATCH`` at a time.  A batch is one ``(g, m)`` array per step, the
+    projections ``sx * ax + sz * az`` by broadcast, run through the station
+    law and ``|k1 - k2|`` together and counted by one ``add_cells`` call, so
+    a chunk makes about 20 numpy calls a batch, not an angle.  The batch's
+    arrays are views into the worker's draw buffers, dead once the chunk is
+    built: 64 bytes a trial hold the draws or two angles' tally.
+    ``block_counts_at`` is the one-angle case.  One tally of an angle counts
     every asked window at once.  The windows' bounds are the sorted distinct
     ``min(w, max_tag + 1)``, and a trial's class is the number of bounds at
     or below its ``|k1 - k2|``; ``add_cells`` counts the classes as its
-    group, one ``bincount`` per jackknife block, and the table is then
-    summed cumulatively over the classes in place.  An angle's int64 table
-    takes ``32`` bytes a block for each bound, and one more row when the
-    widest bound is within ``max_tag`` (12,800 bytes at 100 blocks and
-    windows 1, 16 and 285).
+    group, and the table is then summed cumulatively over the classes in
+    place.  An angle's int64 table takes ``32`` bytes a block for each
+    bound, and one more row when the widest bound is within ``max_tag``
+    (12,800 bytes at 100 blocks and windows 1, 16 and 285).
     """
 
     def __init__(self, params: SimParams, first_trial: int = 0):
         self.first_trial, _ = check_trials(first_trial, first_trial + params.n_trials)
         self.params = params
 
-    def _build(self, lo: int, draws, sx, sz, lam2, x1, k1) -> None:
+    def _build(self, lo: int, buf, sx, sz, lam2, x1, k1) -> None:
         """Write the chunk of trials from ``lo`` into the given ``_columns`` views.
 
-        ``draws`` is a pair of ``_draw_buffers`` at least a chunk long.
+        ``buf`` is a ``_draw_buffers`` at least a chunk long; its contents are
+        dead once this returns.
         """
         p, first, m = self.params, self.first_trial + lo, len(sx)
-        block, work = draws
+        block, work = _carve(buf, m, _DRAW_LAYOUT)
         hx, _, hz, lam1, hlam2 = _hidden_arrays(p.seed, first, first + m, y=False,
-                                                out=block[:, :m], work=work[:, :m])
+                                                out=block, work=work)
         np.negative(hx, out=sx)  # station 2 receives -s
         np.negative(hz, out=sz)
         lam2[:] = hlam2
@@ -168,49 +202,52 @@ class ThetaEngine:
         tell apart, ``top = min(max_tag, bounds[-1])``; a wider difference
         has the class of ``top``.  When the bounds are ``1..len(bounds)`` the
         class is ``min(dk, top)``, with no table.  One pass: each chunk is
-        built once, station 1's sign bits and the chunk's block spans are
-        formed once, and every angle is counted on it while it is in cache.
+        built once, its cell offsets are formed once, and the angles are
+        counted on it ``_BATCH`` at a time while it is in cache.
         """
-        p, n = self.params, self.params.n_trials
-        top = min(p.max_tag, bounds[-1])
-        # one class a bound, and one past the widest if some dk reaches it
-        classes = len(bounds) + (bounds[-1] <= top)
+        p, n, g = self.params, self.params.n_trials, _BATCH
+        top, classes = _classes(bounds, p.max_tag)
         # the selection grid asks every window, so its dk is its class: a gather
         # there cost 27 us a 2^15 chunk and angle, 10 % of smax-paper's op_s
         lut = None
         if bounds[-1] != len(bounds):
             lut = np.searchsorted(bounds, np.arange(top + 1), side="right")
-        axes = [Setting.from_polar(t).vec[::2].tolist() for t in thetas]  # its y is 0
+        axes = np.array([Setting.from_polar(t).vec[::2] for t in thetas])  # its y is 0
         hist = np.zeros((len(thetas), len(edges) - 1, 4 * classes), dtype=np.int64)
-        locks = [threading.Lock() for _ in thetas]  # one worker at a time adds to a table
+        batches = [(j, min(j + g, len(thetas))) for j in range(0, len(thetas), g)]
+        locks = [threading.Lock() for _ in batches]  # one worker at a time adds to a batch
         size = min(n, _CHUNK)
 
         def make():
-            return (_draw_buffers(size), _columns(size), np.empty((2, size)),
-                    np.empty((2, size), dtype=bool), np.empty((2, size), dtype=np.int64))
+            return _draw_buffers(size), _columns(size)
 
         def work(starts, buffers):
-            draws, build, (proj, term), (neg1, neg2), (k2, group) = buffers
+            buf, build = buffers
             for lo in starts:
                 cols = [col[:n - lo] for col in build]
-                self._build(lo, draws, *cols)
+                self._build(lo, buf, *cols)
                 sx, sz, lam2, x1, k1 = cols
                 m = len(sx)
-                np.less(x1, 0, out=neg1[:m])
+                # views into the dead draws: the chunk's cell offsets, then a batch
+                (offsets,), proj, term, k2, neg2 = _carve(buf, m, _tally_layout(g))
                 spans = block_spans(edges, lo, lo + m)
-                for (ax, az), out, lock in zip(axes, hist, locks):
-                    c = np.multiply(sx, ax, out=proj[:m])
-                    c += np.multiply(sz, az, out=term[:m])
+                # neg2's first row holds [x1 < 0] until the offsets are made
+                cell_offsets(np.less(x1, 0, out=neg2[0]), spans, 4 * classes, out=offsets)
+                blocks = slice(spans[0][0], spans[-1][0] + 1)
+                for (j, stop), lock in zip(batches, locks):
+                    rows = stop - j
+                    c = np.multiply(sx, axes[j:stop, :1], out=proj[:rows])
+                    c += np.multiply(sz, axes[j:stop, 1:], out=term[:rows])
                     neg, dk = _station_kernel(c, lam2, p.t0_ratio, p.d,
-                                              out=(neg2[:m], k2[:m]), tmp=term[:m])
+                                              out=(neg2[:rows], k2[:rows]), tmp=term[:rows])
                     np.subtract(k1, dk, out=dk)
                     np.abs(dk, out=dk)
-                    if lut is not None:
-                        dk = np.take(lut, dk, out=group[:m], mode="clip")
+                    if lut is not None:  # into the dead projections
+                        dk = np.take(lut, dk, out=c.view(np.int64), mode="clip")
                     elif top < p.max_tag:
                         np.minimum(dk, top, out=dk)
                     with lock:
-                        add_cells(out, dk, neg1[:m], neg, spans)
+                        add_cells(hist[j:stop, blocks], dk, offsets, neg)
 
         if thetas:
             _each_chunk(n, make, work)
@@ -236,20 +273,20 @@ class ThetaEngine:
 
         p = self.params
         edges = block_edges(p.n_trials, n_blocks)
-        top = min(p.max_tag, max(window_list))
-        size = _table_bytes(top, len(edges) - 1)
-        if size > _TABLE_LIMIT:
-            raise ValueError(
-                f"the count table limit bounds the tag differences a call resolves: "
-                f"{top + 1} differences at 32 bytes a difference and block come to {size} "
-                f"bytes, over the {_TABLE_LIMIT}-byte limit (w_bins={max(window_list)}, "
-                f"t0_ratio={p.t0_ratio!r}, n_blocks={n_blocks}); ask for a narrower window "
-                f"or fewer blocks")
-
         clipped = [min(w, p.max_tag + 1) for w in window_list]
         bounds = sorted(set(clipped))
-        row = {b: i for i, b in enumerate(bounds)}
         distinct = list(dict.fromkeys(thetas))
+        top, classes = _classes(bounds, p.max_tag)
+        size = 32 * classes * (len(edges) - 1) * len(distinct) + 8 * (top + 1)
+        if size > _TABLE_LIMIT:
+            raise ValueError(
+                f"the count tables of {len(distinct)} angles at {classes} window classes "
+                f"and the lookup table of {top + 1} tag differences come to {size} bytes, "
+                f"over the {_TABLE_LIMIT}-byte limit (w_bins={max(window_list)}, "
+                f"t0_ratio={p.t0_ratio!r}, n_blocks={n_blocks}); ask for a narrower window, "
+                f"fewer angles or fewer blocks")
+
+        row = {b: i for i, b in enumerate(bounds)}
         angle = {t: i for i, t in enumerate(distinct)}
         tables = self._cumulative(distinct, edges, bounds)
         picked = tables[:, :, [row[b] for b in clipped]][[angle[t] for t in thetas]]
@@ -278,6 +315,8 @@ class ThetaEngine:
         return self._estimate(self.block_counts_at(theta, w_bins, n_blocks))
 
 
-def _table_bytes(top: int, blocks: int) -> int:
-    """Bytes of a per-difference int64 table of windows up to ``top``, as the limit counts."""
-    return 8 * 4 * (top + 1) * blocks
+def _classes(bounds: list[int], max_tag: int) -> tuple[int, int]:
+    """``(top, classes)`` of sorted window bounds: the widest difference told apart, and
+    one class a bound, plus one past the widest if some difference reaches it."""
+    top = min(max_tag, bounds[-1])
+    return top, len(bounds) + (bounds[-1] <= top)

@@ -12,6 +12,10 @@ of four blocks; the TTAG-CSV pins cover the writer's bytes on two streams.
 
 import hashlib
 import math
+import sys
+import threading
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -36,6 +40,7 @@ from eprbsim import (
 )
 from eprbsim import model, pipeline
 from eprbsim.cli import main
+from eprbsim.coincidence import add_cells
 from eprbsim.model import _PRODUCT_D, _half_power, _station_kernel
 from eprbsim.ttag_io import read_manifest
 
@@ -230,13 +235,15 @@ class TestEngineMatchesReferenceTally:
         seed=st.integers(0, 2**64 - 1),
         n_trials=st.integers(1, 300),
         chunk=st.sampled_from([1, 37, 600, pipeline._CHUNK]),
+        batch=st.sampled_from([1, 2, 3]),
     )
     def test_batch_matches_reference_at_every_angle(self, data, thetas, n_blocks, d, t0_ratio,
-                                                    seed, n_trials, chunk):
+                                                    seed, n_trials, chunk, batch):
         p = SimParams(w_bins=1, t0_ratio=t0_ratio, d=d, n_trials=n_trials, seed=seed)
         windows = data.draw(st.lists(st.integers(1, p.max_tag + 1), min_size=1, max_size=3))
         thetas = thetas + thetas[:1]  # a repeated angle
-        with mock.patch.object(pipeline, "_CHUNK", chunk):
+        # angle counts of 1 to 5, so some end in a part batch
+        with mock.patch.multiple(pipeline, _CHUNK=chunk, _BATCH=batch):
             engine = ThetaEngine(p)
             got = engine.block_counts_over(thetas, windows, n_blocks)
             merged = engine.block_counts_over(thetas, windows, 1)
@@ -255,7 +262,7 @@ class TestEngineMatchesReferenceTally:
         p = SimParams(w_bins=10**9, t0_ratio=1e9, d=3.0, n_trials=5, seed=1)
         engine = ThetaEngine(p)
         with mock.patch.object(ThetaEngine, "_cumulative", side_effect=AssertionError):
-            for n_blocks in (1, 100):  # 32 and 160 GB
+            for n_blocks in (1, 100):  # an 8 GB lookup table
                 with pytest.raises(ValueError, match="count table") as err:
                     engine.block_counts_at(1.0, n_blocks=n_blocks)
                 for named in ("w_bins=1000000000", "t0_ratio=1000000000.0",
@@ -266,14 +273,21 @@ class TestEngineMatchesReferenceTally:
         for n_blocks in (1, 100):
             assert np.array_equal(engine.block_counts_at(1.0, 3, n_blocks),
                                   tally_blocks(blk, 3, n_blocks))
-        # the limit is inclusive: 7 blocks of max_tag + 1 = 39 rows of 4 int64 counts
+        # a wide window at 100 blocks takes 6.4 KB of counts and an 800 KB
+        # lookup table, not the 320 MB of one row a tag difference
+        p = SimParams(w_bins=10**5, t0_ratio=1e5, d=3.0, n_trials=200, seed=1)
+        blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(1.0), p)
+        assert np.array_equal(ThetaEngine(p).block_counts_at(1.0, n_blocks=100),
+                              tally_blocks(blk, 10**5, 100))
+        # the limit is inclusive: 2 distinct angles of 7 blocks of 2 classes of
+        # 4 int64 counts, and 8 bytes for each of the max_tag + 1 = 39 differences
         p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=50, seed=1)
         engine = ThetaEngine(p)
-        with mock.patch.object(pipeline, "_TABLE_LIMIT", 32 * 39 * 7):
-            engine.block_counts_at(1.0, 39, 7)
-        with mock.patch.object(pipeline, "_TABLE_LIMIT", 32 * 39 * 7 - 1), \
+        with mock.patch.object(pipeline, "_TABLE_LIMIT", 32 * 2 * 7 * 2 + 8 * 39):
+            engine.block_counts_over([1.0, 2.0, 1.0], [16, 39], 7)
+        with mock.patch.object(pipeline, "_TABLE_LIMIT", 32 * 2 * 7 * 2 + 8 * 39 - 1), \
                 pytest.raises(ValueError, match="n_blocks=7"):
-            engine.block_counts_at(1.0, 39, 7)
+            engine.block_counts_over([1.0, 2.0, 1.0], [16, 39], 7)
 
     @pytest.mark.parametrize("t0_ratio, d", [(1000.0, 3.0), (1.025, 3.0), (1000.0, 5.0),
                                              (37.5, 0.0)])
@@ -435,9 +449,10 @@ class TestEngineMatchesReferenceTally:
         chunk=st.sampled_from([1, 37, 600, pipeline._CHUNK]),
         workers=st.sampled_from([1, 2, 3]),
         windows=st.sampled_from(["figure", "one", "every", "past", "drawn"]),
+        batch=st.sampled_from([1, 2, 3]),
     )
     def test_batch_at_any_worker_count(self, data, thetas, n_blocks, d, t0_ratio, seed,
-                                       n_trials, chunk, workers, windows):
+                                       n_trials, chunk, workers, windows, batch):
         p = SimParams(w_bins=1, t0_ratio=t0_ratio, d=d, n_trials=n_trials, seed=seed)
         # the figure's windows; one window; every window; one window past
         # max_tag, a single class; and windows drawn in any order, repeats too
@@ -446,13 +461,48 @@ class TestEngineMatchesReferenceTally:
         else:
             windows = {"figure": [1, 16, 285], "one": [3],
                        "every": list(range(1, p.max_tag + 2)), "past": [p.max_tag + 5]}[windows]
-        with mock.patch.multiple(pipeline, _CHUNK=chunk, _WORKERS=workers):
+        with mock.patch.multiple(pipeline, _CHUNK=chunk, _WORKERS=workers, _BATCH=batch):
             got = ThetaEngine(p).block_counts_over(thetas, windows, n_blocks)
         assert list(got) == list(dict.fromkeys(windows))
         for w in windows:
             for theta, cells in zip(thetas, got[w]):
                 blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
                 assert np.array_equal(cells, tally_blocks(blk, w, n_blocks))
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_angles_counted_a_batch_a_call(self, batch):
+        # each chunk builds station 1 with one kernel call, then makes one
+        # call for each batch of distinct angles, the last one part full
+        p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=100, seed=2)
+        thetas = [0.1, 0.2, 0.3, 0.4, 0.5, 0.1]  # 5 distinct angles
+        rows = []
+
+        def spy(c, *args, **kwargs):
+            rows.append(len(c) if c.ndim == 2 else 0)
+            return _station_kernel(c, *args, **kwargs)
+
+        with mock.patch.multiple(pipeline, _CHUNK=30, _WORKERS=1, _BATCH=batch), \
+                mock.patch.object(pipeline, "_station_kernel", spy):
+            ThetaEngine(p).block_counts_over(thetas, [1, 16])
+        per_chunk = [0] + [min(batch, 5 - j) for j in range(0, 5, batch)]
+        assert len(per_chunk) == 1 + math.ceil(5 / batch)
+        assert rows == per_chunk * 4  # 4 chunks of 30 trials
+
+    def test_peak_memory_of_a_figure_call(self):
+        # one worker's chunk buffers, its columns and the figure's tables: the
+        # tally reuses the draw buffers, so a call of 37 angles, 3 windows and
+        # 100 blocks at 2^16 trials peaks under 4.82 MiB
+        p = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=1 << 16, seed=5)
+        thetas = np.linspace(0.0, math.pi, 37)
+        engine = ThetaEngine(p)
+        with mock.patch.object(pipeline, "_WORKERS", 1):
+            tracemalloc.start()
+            try:
+                engine.block_counts_over(thetas, [1, 16, 285], 100)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 4.82 * 2**20
 
     def test_empty_angle_grid_builds_nothing(self):
         p = SimParams(w_bins=16, t0_ratio=37.5, d=3.0, n_trials=500, seed=2)
@@ -490,6 +540,35 @@ class TestEngineMatchesReferenceTally:
             with mock.patch.object(pipeline, "_WORKERS", 1):
                 ThetaEngine(p).block_counts_at(1.0)  # no thread
         assert seen == [2, 3]
+
+    def test_batches_shared_by_many_workers(self):
+        # more workers than cores, switching threads every microsecond, on one
+        # batch of angles: its tables take one worker's counts at a time, so
+        # no update is lost, however the workers' chunks interleave
+        p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=2000, seed=6)
+        thetas, windows = [0.3, 1.1], [1, 16]
+        with mock.patch.multiple(pipeline, _CHUNK=50, _WORKERS=1):
+            expected = ThetaEngine(p).block_counts_over(thetas, windows, 1)
+        inside, most, guard = [0], [0], threading.Lock()
+
+        def spy(*args):
+            with guard:
+                inside[0] += 1
+                most[0] = max(most[0], inside[0])
+            time.sleep(1e-4)  # lets another worker in, unless the batch's lock is held
+            add_cells(*args)
+            with guard:
+                inside[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.multiple(pipeline, _CHUNK=50, _WORKERS=6, _BATCH=2, add_cells=spy):
+                got = ThetaEngine(p).block_counts_over(thetas, windows, 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert most == [1]
+        assert all(np.array_equal(got[w], expected[w]) for w in expected)
 
     @pytest.mark.parametrize("first_trial", [1.5, True, np.float64(2.0), "1", -1])
     def test_offset_must_be_an_integer(self, first_trial):
