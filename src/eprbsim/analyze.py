@@ -124,8 +124,13 @@ def synthetic_singlet_streams(angles_a, angles_b, n_pairs: int,
     return EventStream(k, ia, x1), EventStream(k, ib, x2)
 
 
+#: Columns of a report table, one row per setting-pair cell from :func:`report_rows`.
+REPORT_COLUMNS = ("kind", "setting_a", "setting_b", "e", "stderr_e", "gamma",
+                  "n_coinc", "n_total")
+
+
 def report_rows(report: AnalysisReport):
-    """Flatten a report into table rows (cell rows then summary rows)."""
+    """Flatten a report into table rows, one per cell, in :data:`REPORT_COLUMNS` order."""
     rows = []
     for (ia, ib), est in sorted(report.cells.items()):
         c = report.counts[(ia, ib)]

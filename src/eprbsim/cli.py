@@ -14,7 +14,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .analyze import analyze_external, report_rows
+from .analyze import REPORT_COLUMNS, analyze_external, report_rows
 from .coincidence import estimate_block, singles_means
 from .errors import EprbError, UsageError
 from .inequalities import THETA_STEP, _theta_grid, maximize_S
@@ -23,15 +23,18 @@ from .oracles import gamma_limit, quantum_E, raw_sign_E
 from .scenarios import (
     DEFAULT_PARAMS,
     SCENARIO_IDS,
+    SWEEP_COLUMNS,
     _check_tolerance,
     fit_window,
     run_scenario,
+    sweep_rows,
     sweep_theta,
 )
 from .ttag_io import (
     export_station_streams,
     format_real,
     parse_config,
+    results_csv,
     write_events,
     write_results_csv,
 )
@@ -119,7 +122,8 @@ def _parse_grid(spec: str):
     if count < 2 or stop <= start:
         raise UsageError("theta grid needs stop > start and count >= 2")
     step = (stop - start) / (count - 1)
-    grid = [start + i * step for i in range(count)]
+    # the last point is ``stop`` itself: ``start + (count - 1) * step`` may miss it by an ulp
+    grid = [start + i * step for i in range(count - 1)] + [stop]
     if not all(0.0 <= t <= math.pi for t in grid):
         raise UsageError("theta grid must lie inside [0, pi]")
     return grid
@@ -140,6 +144,17 @@ def _emit(pairs):
             print(f"{key} = {format_real(value)}")
         else:
             print(f"{key} = {value}")
+
+
+def _table(columns, rows, out_dir=None, name=None) -> None:
+    """Write the results table to ``out_dir/name``, or print it without ``out_dir``."""
+    if out_dir:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_results_csv(out / name, columns, rows)
+        print(f"wrote {out / name}")
+    else:
+        print(results_csv(columns, rows), end="")
 
 
 def _cmd_simulate(args) -> int:
@@ -178,20 +193,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     params = _params_from(args)
     grid = _parse_grid(_resolve(args, "theta_grid"))
-    sweep = sweep_theta(params, grid)
-    rows = [[r.theta, r.e, r.stderr_e, r.gamma, r.n_coinc] for r in sweep.rows]
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_results_csv(out / "sweep.csv",
-                          ["theta", "e", "stderr_e", "gamma", "n_coinc"], rows)
-        print(f"wrote {out / 'sweep.csv'}")
-    else:
-        print("theta,e,stderr_e,gamma,n_coinc")
-        for row in rows:
-            print(",".join("" if v is None else
-                           (str(v) if isinstance(v, int) else format_real(v))
-                           for v in row))
+    _table(SWEEP_COLUMNS, sweep_rows(sweep_theta(params, grid)), args.out, "sweep.csv")
     return 0
 
 
@@ -230,22 +232,9 @@ def _cmd_fit(args) -> int:
 def _cmd_oracle(args) -> int:
     d = _resolve(args, "d")
     grid = _parse_grid(_resolve(args, "theta_grid"))
-    rows = []
-    for t in grid:
-        coeff = gamma_limit(t, d)
-        rows.append([t, None if math.isinf(coeff) else coeff,
-                     raw_sign_E(t), -math.cos(t)])
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_results_csv(out / "oracle.csv",
-                          ["theta", "gamma_limit_coeff", "raw_sign_e", "quantum_e"],
-                          rows)
-        print(f"wrote {out / 'oracle.csv'}")
-    else:
-        print("theta,gamma_limit_coeff,raw_sign_e,quantum_e")
-        for row in rows:
-            print(",".join("inf" if v is None else format_real(v) for v in row))
+    rows = [[t, gamma_limit(t, d), raw_sign_E(t), -math.cos(t)] for t in grid]
+    _table(("theta", "gamma_limit_coeff", "raw_sign_e", "quantum_e"), rows,
+           args.out, "oracle.csv")
     return 0
 
 
@@ -257,11 +246,7 @@ def _cmd_analyze(args) -> int:
         raise UsageError("settings tables must be non-empty")
     report = analyze_external(args.file_a, args.file_b, settings_a, settings_b,
                               w_bins=w_bins)
-    print("kind,setting_a,setting_b,e,stderr_e,gamma,n_coinc,n_total")
-    for row in report_rows(report):
-        print(",".join("" if v is None else
-                       (str(v) if isinstance(v, (int, str)) else format_real(v))
-                       for v in row))
+    _table(REPORT_COLUMNS, report_rows(report))
     _emit([
         ("gamma_min_pairs", report.gamma_min_pairs),
         ("gamma_total_fraction", report.gamma_total_fraction),

@@ -30,19 +30,24 @@ _UNIT_TOL = 1e-12
 _PRODUCT_D = 8  # largest integer delay exponent the station law takes by products
 
 
-def _integral(value) -> bool:
-    """Whether ``value`` equals an integer (False for infinities and NaN)."""
+def _integer(name: str, value, low: int = 1) -> int:
+    """``value`` as an ``int``; ValueError naming ``name`` unless an integer >= ``low``.
+
+    Infinities, NaN and ``bool`` are refused (``rng.check_trials`` refuses a
+    ``bool`` too).
+    """
     try:
-        return int(value) == value
+        integral = int(value) == value and not isinstance(value, (bool, np.bool_))
     except (OverflowError, ValueError):
-        return False
+        integral = False
+    if not integral or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def check_window(w_bins) -> int:
     """The coincidence window ``w_bins`` as an ``int``; ValueError unless an integer >= 1."""
-    if not _integral(w_bins) or w_bins < 1:
-        raise ValueError(f"w_bins must be an integer >= 1, got {w_bins!r}")
-    return int(w_bins)
+    return _integer("w_bins", w_bins)
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,7 @@ class SimParams:
     """The four model parameters plus the master seed.
 
     w_bins    coincidence window in units of the tag resolution (W/tau >= 1)
-    t0_ratio  maximum delay in units of the tag resolution (T0/tau > 0)
+    t0_ratio  maximum delay in units of the tag resolution (0 < T0/tau <= 2**53)
     d         delay exponent shaping the angle dependence (real, >= 0)
     n_trials  number of emitted pairs
     seed      64-bit master seed; all randomness derives from it
@@ -63,14 +68,16 @@ class SimParams:
     seed: int = 1
 
     def __post_init__(self):
-        check_window(self.w_bins)
-        if not (self.t0_ratio > 0 and math.isfinite(self.t0_ratio)):
-            raise ValueError(f"t0_ratio must be positive and finite, got {self.t0_ratio!r}")
+        # the integer fields are stored as ``int``, whatever integral type came in
+        object.__setattr__(self, "w_bins", check_window(self.w_bins))
+        # the station law takes bins as float64, exact only up to 2**53
+        if not 0 < self.t0_ratio <= 2.0**53:
+            raise ValueError(f"t0_ratio must lie in (0, 2**53], got {self.t0_ratio!r}")
         if not (self.d >= 0 and math.isfinite(self.d)):
             raise ValueError(f"d must be a finite real >= 0, got {self.d!r}")
-        if not _integral(self.n_trials) or self.n_trials < 1:
-            raise ValueError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
-        if not _integral(self.seed) or not 0 <= self.seed < 2**64:
+        object.__setattr__(self, "n_trials", _integer("n_trials", self.n_trials))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        if self.seed >= 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .analyze import analyze_streams, report_rows, synthetic_singlet_streams
+from .analyze import REPORT_COLUMNS, analyze_streams, report_rows, synthetic_singlet_streams
 from .coincidence import CoincidenceCounts, estimate
 from .errors import FitError, UsageError
 from .inequalities import THETA_STEP, SReport, maximize_S
@@ -55,6 +55,15 @@ class SweepResult:
 
     rows: tuple[SweepRow, ...]
     params: SimParams
+
+
+#: Columns of a sweep table, one row per grid angle from :func:`sweep_rows`.
+SWEEP_COLUMNS = ("theta", "e", "stderr_e", "gamma", "n_coinc")
+
+
+def sweep_rows(sweep: SweepResult) -> list[list]:
+    """The sweep's table rows, in :data:`SWEEP_COLUMNS` order."""
+    return [[r.theta, r.e, r.stderr_e, r.gamma, r.n_coinc] for r in sweep.rows]
 
 
 def _window_sweeps(params: SimParams, windows, thetas) -> tuple[SweepResult, ...]:
@@ -212,20 +221,11 @@ def _base_params(overrides: dict | None) -> SimParams:
     return replace(DEFAULT_PARAMS, **(overrides or {}))
 
 
-def _sweep_rows_for_csv(sweep: SweepResult, extra=None):
-    for row in sweep.rows:
-        base = [row.theta, row.e, row.stderr_e, row.gamma, row.n_coinc]
-        if extra is not None:
-            base.append(extra(row))
-        yield base
-
-
 def _scenario_fig1(params: SimParams, out: Path) -> dict[str, Path]:
     files = {}
     for sweep in _window_sweeps(params, (1, 16, 285), FIGURE_GRID):
         path = out / f"gamma_w{sweep.params.w_bins}.csv"
-        write_results_csv(path, ["theta", "e", "stderr_e", "gamma", "n_coinc"],
-                          _sweep_rows_for_csv(sweep))
+        write_results_csv(path, SWEEP_COLUMNS, sweep_rows(sweep))
         files[path.name] = path
     return files
 
@@ -234,11 +234,8 @@ def _scenario_fig2(params: SimParams, out: Path) -> dict[str, Path]:
     files = {}
     for sweep in _window_sweeps(params, (1, 16, 285), FIGURE_GRID):
         path = out / f"e_w{sweep.params.w_bins}.csv"
-        write_results_csv(
-            path,
-            ["theta", "e", "stderr_e", "gamma", "n_coinc", "e_singlet"],
-            _sweep_rows_for_csv(sweep, extra=lambda r: -math.cos(r.theta)),
-        )
+        write_results_csv(path, (*SWEEP_COLUMNS, "e_singlet"),
+                          [row + [-math.cos(row[0])] for row in sweep_rows(sweep)])
         files[path.name] = path
     return files
 
@@ -283,11 +280,7 @@ def _scenario_weihs_compare(params: SimParams, out: Path) -> dict[str, Path]:
     report = analyze_streams(stream_a, stream_b, 2, 2, w_bins=params.w_bins)
 
     cells_path = out / "analysis_cells.csv"
-    write_results_csv(
-        cells_path,
-        ["kind", "setting_a", "setting_b", "e", "stderr_e", "gamma",
-         "n_coinc", "n_total"],
-        report_rows(report))
+    write_results_csv(cells_path, REPORT_COLUMNS, report_rows(report))
     summary_path = out / "analysis_summary.csv"
     summary_rows = [
         ["gamma_min_pairs", report.gamma_min_pairs],

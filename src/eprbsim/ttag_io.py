@@ -269,10 +269,11 @@ def format_real(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_results_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a results table: one header row, 17-significant-digit reals.
+def results_csv(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A results table as text: one header row, 17-significant-digit reals.
 
-    ``None`` cells (undefined estimates) are left empty.
+    ``None`` cells (undefined estimates) are left empty; an infinite real
+    reads ``inf``.
     """
     lines = [",".join(columns)]
     for row in rows:
@@ -293,7 +294,12 @@ def write_results_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) ->
             else:
                 cells.append(format_real(float(v)))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_results_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write :func:`results_csv` of the table to ``path``."""
+    Path(path).write_text(results_csv(columns, rows), encoding="ascii", newline="\n")
 
 
 def file_digest(path) -> str:

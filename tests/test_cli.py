@@ -3,7 +3,7 @@ import math
 import pytest
 
 from eprbsim import EventStream, write_events
-from eprbsim.cli import main
+from eprbsim.cli import _parse_grid, main
 
 
 def run_cli(capsys, *argv):
@@ -42,7 +42,10 @@ class TestExitCodes:
         (["fit", *BASE, "--target", "2.5", "--tolerance", "0"], "tolerance"),
         (["smax", *BASE, "--theta-step", "0"], "theta_step"),
         (["smax", *BASE, "--theta-step", "nan"], "theta_step"),
-    ], ids=["sweep-grid", "oracle-grid", "fit-tolerance", "smax-step-0", "smax-step-nan"])
+        (["simulate", "--t0-ratio", "1e19", "--n", "2000"], "t0_ratio"),
+        (["fit", "--t0-ratio", "1e19", "--n", "2000", "--target", "2.5"], "t0_ratio"),
+    ], ids=["sweep-grid", "oracle-grid", "fit-tolerance", "smax-step-0", "smax-step-nan",
+            "simulate-t0-ratio", "fit-t0-ratio"])
     def test_out_of_range_option_is_usage_error(self, capsys, argv, named):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
@@ -215,3 +218,22 @@ class TestOtherCommands:
     def test_theta_grid_validation(self, capsys):
         code, _, err = run_cli(capsys, "sweep", *BASE, "--theta-grid", "0:1")
         assert code == 1
+
+    def test_full_range_grid_ends_at_pi(self, capsys):
+        # start + (count - 1) * step overshoots pi by an ulp at 35 of these counts
+        for count in range(2, 400):
+            grid = _parse_grid(f"0:{math.pi!r}:{count}")
+            assert len(grid) == count and grid[0] == 0.0 and grid[-1] == math.pi
+        code, out, _ = run_cli(capsys, "sweep", *BASE, "--theta-grid", f"0:{math.pi!r}:26")
+        assert code == 0 and float(out.splitlines()[-1].split(",")[0]) == math.pi
+
+    @pytest.mark.parametrize("argv, name", [
+        (["sweep", *BASE, "--theta-grid", "0:3.14159:5"], "sweep.csv"),
+        (["oracle", "--d", "3", "--theta-grid", "0:3.141592653589793:5"], "oracle.csv"),
+    ], ids=["sweep", "oracle"])
+    def test_printed_table_is_the_written_file(self, capsys, tmp_path, argv, name):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, written, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0 and written == f"wrote {tmp_path / name}\n"
+        assert out.encode() == (tmp_path / name).read_bytes()

@@ -3,14 +3,12 @@
 No linter is installed, so this stays stdlib-only and parses with ``ast``:
 
 * each module under ``src/eprbsim`` except the package ``__init__`` (which
-  imports to re-export), ``tests`` and ``scripts`` reads every name it
-  imports;
+  imports to re-export) and ``tests`` reads every name it imports;
 * every module-level ``def`` or ``class`` in ``src/eprbsim`` is loaded by
-  name somewhere in ``src`` or ``scripts``, or is exported in
-  ``eprbsim.__all__``;
+  name somewhere in ``src``, or is exported in ``eprbsim.__all__``;
 * every public method of a class in ``src/eprbsim`` is loaded as an
-  attribute somewhere in ``src`` or ``scripts``, unless it overrides a
-  method of a base class (as ``cli._Parser.error`` does).
+  attribute somewhere in ``src``, unless it overrides a method of a base
+  class (as ``cli._Parser.error`` does).
 
 No work at import either: importing the package starts no thread, and a
 tally ends every thread it starts.
@@ -30,7 +28,7 @@ import pytest
 import eprbsim
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for pattern in ("src/eprbsim/*.py", "tests/*.py", "scripts/*.py")
+MODULES = sorted(p for pattern in ("src/eprbsim/*.py", "tests/*.py")
                  for p in ROOT.glob(pattern) if p.name != "__init__.py")
 LIBRARY = sorted((ROOT / "src" / "eprbsim").glob("*.py"))
 
@@ -114,8 +112,7 @@ def test_override_is_found_on_a_base_class():
 
 
 def test_no_dead_definitions():
-    readers = [p.read_text() for pattern in ("src/eprbsim/*.py", "scripts/*.py")
-               for p in ROOT.glob(pattern)]
+    readers = [p.read_text() for p in ROOT.glob("src/eprbsim/*.py")]
     modules = {p.stem: p.read_text() for p in LIBRARY}
     assert dead_definitions(modules, readers, set(eprbsim.__all__), overrides_base) == []
 

@@ -46,6 +46,25 @@ class TestSimParams:
         assert SimParams(1, 1000.0, 3, 1).max_tag == 1000
         assert SimParams(1, 1.025, 3, 1).max_tag == 2
 
+    @pytest.mark.parametrize("field", ["w_bins", "n_trials", "seed"])
+    def test_rejects_bools(self, field):
+        fields = dict(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=10, seed=1)
+        for value in (True, np.True_):
+            with pytest.raises(ValueError, match=field):
+                SimParams(**{**fields, field: value})
+
+    def test_integral_fields_are_stored_as_int(self):
+        p = SimParams(16.0, 100.0, 3.0, n_trials=2e3, seed=np.uint64(7))
+        assert [(type(v), v) for v in (p.w_bins, p.n_trials, p.seed)] == [
+            (int, 16), (int, 2000), (int, 7)]
+        assert run_pairs(Setting.from_polar(0.0), Setting.from_polar(1.0), p) is not None
+
+    def test_t0_ratio_stops_where_float64_holds_every_bin(self):
+        assert SimParams(1, 2.0**53, 3.0, 10).max_tag == 2**53
+        for t0 in (2.0**53 * (1 + 2**-52), 1e19):
+            with pytest.raises(ValueError, match="t0_ratio"):
+                SimParams(1, t0, 3.0, 10)
+
 
 class TestSetting:
     def test_normalizes(self):

@@ -7,7 +7,8 @@ rather than between two runs of the same code.  The engine property tests
 check the engine at any chunk size, window set and worker count against the
 per-block reference tally of ``run_pairs``.  The stream-matching pins cover
 ``match_streams`` on random multi-setting streams and on the exported layout
-of four blocks; the TTAG-CSV pins cover the writer's bytes on two streams.
+of four blocks; the TTAG-CSV pins cover the writer's bytes on two streams;
+the command-line pins cover the tables that ``sweep`` and ``analyze`` print.
 """
 
 import hashlib
@@ -33,6 +34,7 @@ from eprbsim import (
     match_streams,
     run_pairs,
     run_scenario,
+    synthetic_singlet_streams,
     tally,
     tally_blocks,
     uniform_block,
@@ -106,6 +108,20 @@ class TestPinnedBytes:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "48bee23b80c6234111ded40ffc3c4401b6271a9a7c252b5cb218885d70879ff1")
+
+    def test_analyze_stdout(self, tmp_path, capsys):
+        streams = synthetic_singlet_streams([0.0, math.pi / 2],
+                                            [math.pi / 4, 3 * math.pi / 4], 2000, seed=5)
+        files = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for stream, path in zip(streams, files):
+            write_events(stream, path)
+        assert main(["analyze", "--file-a", str(files[0]), "--file-b", str(files[1]),
+                     "--settings-a", "0,1.5707963267948966",
+                     "--settings-b", "0.7853981633974483,2.356194490192345",
+                     "--w-bins", "1"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7949a413aac2cf23bcf190606bc6fcf409b779c0caad85cf2b6adb8d81cb4c7f")
 
 
 def _random_streams(seed, n_a, n_b):
