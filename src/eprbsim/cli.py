@@ -18,7 +18,7 @@ from .analyze import REPORT_COLUMNS, analyze_external, report_rows
 from .coincidence import estimate_block, singles_means
 from .errors import EprbError, UsageError
 from .inequalities import THETA_STEP, _theta_grid, maximize_S
-from .model import Setting, SimParams, check_window, run_pairs
+from .model import Setting, SimParams, check_exponent, check_window, run_pairs
 from .oracles import gamma_limit, quantum_E, raw_sign_E
 from .scenarios import (
     DEFAULT_PARAMS,
@@ -162,6 +162,7 @@ def _cmd_simulate(args) -> int:
     theta = _resolve(args, "theta")
     block = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), params,
                       keep_hidden=bool(args.debug_hidden))
+    streams = _checked(export_station_streams, block) if args.out else None
     est = estimate_block(block, params.w_bins)
     m1, m2 = singles_means(block)
     _emit([
@@ -174,9 +175,8 @@ def _cmd_simulate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        s1, s2 = export_station_streams(block)
-        write_events(s1, out / "station_1.csv")
-        write_events(s2, out / "station_2.csv")
+        write_events(streams[0], out / "station_1.csv")
+        write_events(streams[1], out / "station_2.csv")
         write_results_csv(out / "estimate.csv",
                           ["theta", "e", "stderr_e", "e1", "e2", "gamma", "n_coinc"],
                           [[theta, est.e, est.stderr_e, est.e1, est.e2,
@@ -230,7 +230,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    d = _resolve(args, "d")
+    d = _checked(check_exponent, _resolve(args, "d"))
     grid = _parse_grid(_resolve(args, "theta_grid"))
     rows = [[t, gamma_limit(t, d), raw_sign_E(t), -math.cos(t)] for t in grid]
     _table(("theta", "gamma_limit_coeff", "raw_sign_e", "quantum_e"), rows,

@@ -10,7 +10,7 @@ class TtagFormatError(EprbError):
 
 
 class QuadratureError(EprbError):
-    """Adaptive quadrature failed to converge within its refinement budget."""
+    """Adaptive quadrature did not converge, or its value overflows float64."""
 
 
 class FitError(EprbError):

@@ -50,6 +50,13 @@ def check_window(w_bins) -> int:
     return _integer("w_bins", w_bins)
 
 
+def check_exponent(d) -> float:
+    """The delay exponent ``d``; ValueError unless a finite real >= 0."""
+    if not (d >= 0 and math.isfinite(d)):
+        raise ValueError(f"d must be a finite real >= 0, got {d!r}")
+    return d
+
+
 @dataclass(frozen=True)
 class SimParams:
     """The four model parameters plus the master seed.
@@ -73,8 +80,7 @@ class SimParams:
         # the station law takes bins as float64, exact only up to 2**53
         if not 0 < self.t0_ratio <= 2.0**53:
             raise ValueError(f"t0_ratio must lie in (0, 2**53], got {self.t0_ratio!r}")
-        if not (self.d >= 0 and math.isfinite(self.d)):
-            raise ValueError(f"d must be a finite real >= 0, got {self.d!r}")
+        check_exponent(self.d)
         object.__setattr__(self, "n_trials", _integer("n_trials", self.n_trials))
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if self.seed >= 2**64:

@@ -1,27 +1,24 @@
 """Analytic and quadrature reference values used to validate the simulator.
 
-``gamma_limit`` integrates the small-window limit of the coincidence
-frequency over the sphere of hidden spin directions:
-
-    lim_{W/T0 -> 0} Gamma * T0 / W  =  <1 / max(r1, r2)>,
-    r_i = (1 - (s . a_i)^2)^(d/2),
-
-for the same-bin window.  The integrand's only non-integrable locus is a
-common zero of r1 and r2, which exists exactly when the settings are
-colinear; there the coefficient diverges for d >= 2.
+``gamma_limit`` is the small-window limit of the same-bin coincidence
+frequency, ``<(1 - min(c1^2, c2^2))^(-d/2)>`` over hidden spins ``s`` with
+``c_i = s . a_i``.  By parts in ``t`` it is ``1 + int g'(t) P(min(c1^2, c2^2)
+> t) dt``, ``g(t) = (1 - t)^(-d/2)``, and the event is four disjoint lenses
+of polar caps of radius ``acos(sqrt(t))``, two with centres ``theta`` apart
+and two ``pi - theta`` apart.  Lens areas have a closed form, so one 1-D
+integral remains.  The coefficient diverges exactly for colinear settings at
+``d >= 2``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import integrate
 
 from .errors import QuadratureError
-from .model import Setting
+from .model import Setting, check_exponent
 
 _COLINEAR_TOL = 1e-9
 
@@ -62,58 +59,51 @@ def smax_quantum() -> QuantumMax:
                       angles=(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4))
 
 
-def _limit_integrand_factory(theta: float, d: float):
-    st, ct = math.sin(theta), math.cos(theta)
-    half = d / 2.0
+def _half_lens(r: float, h: float) -> float:
+    """Half the lens of two caps of radius ``r`` ``2 h`` apart: one cap beyond their bisector.
 
-    def inner(u: float) -> float:
-        ss = math.sqrt(max(0.0, 1.0 - u * u))
-
-        def f(phi: float) -> float:
-            c1 = u
-            c2 = st * ss * math.cos(phi) + ct * u
-            r1 = max(0.0, 1.0 - c1 * c1) ** half
-            r2 = max(0.0, 1.0 - c2 * c2) ** half
-            return 1.0 / max(r1, r2)
-
-        # integrand is even in phi: integrate half the period and double
-        val, _ = integrate.quad(f, 0.0, math.pi, limit=300,
-                                epsabs=1e-12, epsrel=1e-10)
-        return 2.0 * val
-
-    return inner
+    ``sin(r - h) sin(r + h)`` for ``sin^2 r - sin^2 h``, ``2 sin^2(r / 2)`` for
+    ``1 - cos r`` and ``atan2`` keep full precision near tangency and for small caps.
+    """
+    if h >= r:
+        return 0.0
+    q = math.sqrt(math.sin(r - h) * math.sin(r + h))
+    sh, cr, vers = math.sin(h), math.cos(r), 2.0 * math.sin(r / 2) ** 2
+    return 2.0 * (vers * math.atan2(q, sh) - cr * math.atan2(q * sh * vers, q * q + sh * sh * cr))
 
 
-@functools.lru_cache(maxsize=1024)
 def gamma_limit(theta: float, d: float) -> float:
-    """Small-window limit coefficient of the coincidence frequency.
+    """Small-window limit of ``Gamma * T0 / W`` for settings ``theta`` apart.
 
-    Returns ``<1 / max(r1, r2)>`` over the sphere for settings separated by
-    ``theta``, i.e. the limit of ``Gamma * T0 / W`` for the same-bin window.
-    Returns ``math.inf`` where the coefficient diverges (colinear settings
-    with ``d >= 2``).  Raises :class:`QuadratureError` if the adaptive rule
-    does not converge.  Values are memoized per ``(theta, d)``.
+    ``math.inf`` where it diverges (colinear settings with ``d >= 2``).
+    Raises ValueError for ``theta`` outside ``[0, pi]`` or ``d`` not a finite
+    real >= 0, and :class:`QuadratureError` naming ``theta`` and ``d`` if the
+    lens quadrature does not converge or the coefficient overflows float64.
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi]")
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    colinear = theta < _COLINEAR_TOL or math.pi - theta < _COLINEAR_TOL
-    if colinear and d >= 2.0:
-        return math.inf
+    check_exponent(d)
+    psi = min(theta, math.pi - theta)
+    if psi < _COLINEAR_TOL:  # c1^2 = c2^2, c uniform on [-1, 1]: int_0^1 (1-c^2)^(-d/2) dc
+        if d >= 2.0:
+            return math.inf
+        return math.sqrt(math.pi) / 2 * math.gamma(1 - d / 2) / math.gamma(1.5 - d / 2)
 
-    inner = _limit_integrand_factory(theta, d)
-    with np.errstate(all="ignore"):
-        val, err, info, *rest = integrate.quad(
-            inner, -1.0, 1.0, limit=300, epsabs=1e-10, epsrel=1e-8,
-            full_output=True,
-        )
-    if rest:  # an explanation string accompanies non-convergence
-        raise QuadratureError(f"sphere quadrature did not converge: {rest[-1]}")
-    val /= 4.0 * math.pi
-    if not math.isfinite(val) or (err / max(abs(val), 1.0)) > 1e-4:
-        raise QuadratureError(
-            f"sphere quadrature unreliable at theta={theta:.6g}, d={d:.6g} "
-            f"(value {val!r}, error {err!r})")
+    def integrand(u: float) -> float:
+        # g'(t) P(min(c1^2, c2^2) > t) dt, at t = cos^2(alpha), alpha = e^u
+        alpha = math.exp(u)
+        p = (_half_lens(alpha, theta / 2) + _half_lens(alpha, (math.pi - theta) / 2)) / math.pi
+        return d * alpha * math.cos(alpha) * math.sin(alpha) ** (-d - 1.0) * p
+
+    try:
+        # the lenses vanish for alpha <= psi / 2
+        val, err, _, *rest = integrate.quad(
+            integrand, math.log(psi / 2), math.log(math.pi / 2),
+            epsabs=0.0, epsrel=1e-11, full_output=True)
+    except OverflowError:
+        raise QuadratureError(f"limit overflows float64 at theta={theta!r}, d={d!r}") from None
+    val += 1.0
+    if rest or not math.isfinite(val) or err > 1e-4 * val:  # rest: quad's own warning
+        raise QuadratureError(f"quadrature did not converge at theta={theta!r}, d={d!r} "
+                              f"(value {val!r}, error {err!r})")
     return val
-

@@ -253,12 +253,15 @@ def export_station_streams(block: TrialBlock, setting_index_1: int = 0,
     Trial ``n`` occupies its own time slot of ``2 * (max_tag + 1)`` bins, so
     events from different trials can never fall inside one coincidence
     window the model admits and greedy stream matching recovers exactly the
-    per-trial pairing.
+    per-trial pairing.  Raises ValueError if the layout's span overflows int64.
     """
     params: SimParams = block.params
-    base = np.arange(len(block), dtype=np.int64) * (2 * (params.max_tag + 1))
-    s1 = np.full(len(block), setting_index_1, dtype=np.int64)
-    s2 = np.full(len(block), setting_index_2, dtype=np.int64)
+    n, slot = len(block), 2 * (params.max_tag + 1)
+    if n * slot >= 2**63:
+        raise ValueError(f"n_trials={n} at t0_ratio={params.t0_ratio!r} overflow int64 tags")
+    base = np.arange(n, dtype=np.int64) * slot
+    s1 = np.full(n, setting_index_1, dtype=np.int64)
+    s2 = np.full(n, setting_index_2, dtype=np.int64)
     return (
         EventStream(base + block.k1, s1, block.x1.astype(np.int64)),
         EventStream(base + block.k2, s2, block.x2.astype(np.int64)),

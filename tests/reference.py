@@ -14,15 +14,18 @@ replays one trial at a time, as the model is stated:
 * the delete-one-block jackknife, one block at a time in Python integers;
 * greedy stream matching, one event at a time;
 * a TTAG-CSV file, written by one ``%`` format over every field and read
-  one line at a time with ``int()``.
+  one line at a time with ``int()``;
+* the small-window limit coefficient, by nested adaptive quadrature over the
+  sphere rather than the library's one integral over cap lenses.
 """
 
 import math
 
 import numpy as np
+from scipy import integrate
 
 from eprbsim.coincidence import CoincidenceCounts
-from eprbsim.errors import TtagFormatError
+from eprbsim.errors import QuadratureError, TtagFormatError
 from eprbsim.model import _station_kernel
 
 _MASK = (1 << 64) - 1
@@ -154,3 +157,37 @@ def ttag_rows(path, text: str) -> list[tuple[int, int, int]]:
             raise TtagFormatError(f"{path}:{lineno}: tags must be non-decreasing")
         rows.append((k, s, x))
     return rows
+
+
+def gamma_limit(theta: float, d: float) -> float:
+    """``<1 / max(r1, r2)>`` over the sphere, ``r_i = (1 - (s . a_i)^2)^(d/2)``.
+
+    Nested adaptive quadrature over ``u = s . a1`` and the azimuth about
+    ``a1``; raises ``QuadratureError`` if the outer rule does not converge.
+    Not for colinear settings at ``d >= 2``, where the average diverges.
+    """
+    # both integrands are even (in phi, and under s -> -s in u): integrate
+    # half of each range and double
+    st, ct = math.sin(theta), math.cos(theta)
+    half = d / 2.0
+
+    def inner(u: float) -> float:
+        ss = math.sqrt(max(0.0, 1.0 - u * u))
+
+        def f(phi: float) -> float:
+            c2 = st * ss * math.cos(phi) + ct * u
+            r1 = max(0.0, 1.0 - u * u) ** half
+            r2 = max(0.0, 1.0 - c2 * c2) ** half
+            return 1.0 / max(r1, r2)
+
+        val, _ = integrate.quad(f, 0.0, math.pi, limit=300, epsabs=1e-12, epsrel=1e-10)
+        return 2.0 * val
+
+    val, err, _, *rest = integrate.quad(inner, 0.0, 1.0, limit=300, epsabs=1e-10,
+                                        epsrel=1e-8, full_output=True)
+    if rest:  # an explanation string accompanies non-convergence
+        raise QuadratureError(f"sphere quadrature did not converge: {rest[-1]}")
+    val /= 2.0 * math.pi
+    if not math.isfinite(val) or err / max(abs(val), 1.0) > 1e-4:
+        raise QuadratureError(f"sphere quadrature unreliable (value {val!r}, error {err!r})")
+    return val

@@ -44,12 +44,32 @@ class TestExitCodes:
         (["smax", *BASE, "--theta-step", "nan"], "theta_step"),
         (["simulate", "--t0-ratio", "1e19", "--n", "2000"], "t0_ratio"),
         (["fit", "--t0-ratio", "1e19", "--n", "2000", "--target", "2.5"], "t0_ratio"),
+        (["oracle", "--d", "-1"], "d must be a finite real >= 0, got -1.0"),
+        (["oracle", "--d", "nan"], "d must be a finite real >= 0, got nan"),
+        (["oracle", "--d", "inf"], "d must be a finite real >= 0, got inf"),
     ], ids=["sweep-grid", "oracle-grid", "fit-tolerance", "smax-step-0", "smax-step-nan",
-            "simulate-t0-ratio", "fit-t0-ratio"])
+            "simulate-t0-ratio", "fit-t0-ratio", "oracle-d-negative", "oracle-d-nan",
+            "oracle-d-inf"])
     def test_out_of_range_option_is_usage_error(self, capsys, argv, named):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("usage error:") and named in err
+
+    def test_oracle_overflow_is_a_runtime_error(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--d", "1e6",
+                                 "--theta-grid", "0.5:1:2")
+        assert code == 2 and out == ""
+        assert err == ("error: limit overflows float64 at "
+                       "theta=0.5, d=1000000.0\n")
+
+    def test_simulate_refuses_station_files_past_int64(self, capsys, tmp_path):
+        # 2 * n * (max_tag + 1) reaches 2**63 at n = 512 and t0_ratio = 2**53
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(capsys, "simulate", "--n", "512", "--t0-ratio",
+                                 str(2**53), "--out", str(out_dir))
+        assert code == 1 and out == "" and not out_dir.exists()
+        assert err.startswith("usage error:")
+        assert "n_trials=512 at t0_ratio=9007199254740992.0" in err
 
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     def test_analyze_invalid_window_rejected(self, capsys, tmp_path, via_config):
@@ -200,6 +220,16 @@ class TestOtherCommands:
         assert lines[1].split(",")[1] == "inf"  # divergent at theta = 0
         mid = lines[3].split(",")  # theta = pi/2 row
         assert abs(float(mid[1]) - 4 / math.pi) < 1e-3
+
+    def test_oracle_runs_every_grid_angle(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--d", "3",
+                               "--theta-grid", "0:3.141592653589793:26")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 26
+        assert rows[0][1] == rows[-1][1] == "inf"
+        for theta, coeff, *_ in rows[1:-1]:
+            assert abs(float(coeff) - 4 / (math.pi * math.sin(float(theta)))) < 1e-9
 
     def test_smax_small(self, capsys):
         code, out, _ = run_cli(capsys, "smax", *BASE, "--w-bins", "4",

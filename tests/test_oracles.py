@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from eprbsim import (
+    QuadratureError,
     Setting,
     SimParams,
     gamma_limit,
@@ -14,7 +16,14 @@ from eprbsim import (
 )
 from eprbsim.pipeline import ThetaEngine
 
+from . import reference
+
 SQRT2 = math.sqrt(2.0)
+
+
+def interior(count: int) -> list[float]:
+    """The interior angles of the ``count``-point grid over ``[0, pi]``."""
+    return [float(t) for t in np.linspace(0.0, math.pi, count)[1:-1]]
 
 
 class TestQuantumE:
@@ -58,11 +67,33 @@ class TestGammaLimit:
         assert abs(v - 4 / math.pi) < 1e-3
         assert abs(v - 4 / math.pi) < 1e-6  # quadrature is far tighter than required
 
-    @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 3, math.pi / 2],
-                             ids=["pi/6", "pi/3", "pi/2"])
-    def test_closed_form_at_cubic_exponent(self, theta):
+    @pytest.mark.parametrize("thetas", [[math.pi / 6], [math.pi / 3], [math.pi / 2],
+                                        interior(26), interior(37)],
+                             ids=["pi/6", "pi/3", "pi/2", "grid-26", "grid-37"])
+    def test_closed_form_at_cubic_exponent(self, thetas):
         # for d = 3 the sphere average is 4 / (pi sin theta)
-        assert abs(gamma_limit(theta, 3.0) - 4 / (math.pi * math.sin(theta))) < 1e-8
+        for theta in thetas:
+            assert abs(gamma_limit(theta, 3.0) - 4 / (math.pi * math.sin(theta))) < 1e-9
+
+    @pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-8])
+    def test_near_colinear_cubic_exponent(self, theta):
+        assert gamma_limit(theta, 3.0) == pytest.approx(4 / (math.pi * math.sin(theta)),
+                                                        rel=1e-8)
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi], ids=["0", "pi"])
+    @pytest.mark.parametrize("d", [0.0, 1.0, 1.5])
+    def test_colinear_closed_form_below_quadratic_exponent(self, theta, d):
+        # c1^2 = c2^2 with c uniform on [-1, 1]: int_0^1 (1 - c^2)^(-d/2) dc
+        expected = math.sqrt(math.pi) / 2 * math.gamma(1 - d / 2) / math.gamma(1.5 - d / 2)
+        assert gamma_limit(theta, d) == pytest.approx(expected, rel=1e-15)
+
+    def test_matches_nested_sphere_quadrature(self):
+        # the tests' nested adaptive rule, at (theta, d) points on each side of
+        # d = 2 and near and at colinear settings; it costs about half a second a point
+        for theta, d in [(0.3, 5.0), (1.0, 0.5), (2.0, 2.0), (1e-3, 1.0),
+                         (math.pi, 1.5), (0.0, 1.0)]:
+            expected = reference.gamma_limit(theta, d)
+            assert gamma_limit(theta, d) == pytest.approx(expected, rel=1e-8)
 
     def test_divergence_at_colinear_settings(self):
         assert gamma_limit(0.0, 3.0) == math.inf
@@ -87,6 +118,19 @@ class TestGammaLimit:
             gamma_limit(-0.2, 3.0)
         with pytest.raises(ValueError):
             gamma_limit(0.5, -1.0)
+
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -1.0])
+    def test_exponent_refused_as_by_sim_params(self, d):
+        with pytest.raises(ValueError) as refused:
+            SimParams(w_bins=1, t0_ratio=10.0, d=d, n_trials=10)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            gamma_limit(1.0, d)
+
+    @pytest.mark.parametrize("theta, d", [(1.0, 2000.0), (1.0, 1e6), (math.pi / 2, 1e300),
+                                          (1e-3, 100.0)])
+    def test_overflow_is_a_named_quadrature_error(self, theta, d):
+        with pytest.raises(QuadratureError, match=re.escape(f"theta={theta!r}, d={d!r}")):
+            gamma_limit(theta, d)
 
 
 class TestSmaxQuantum:

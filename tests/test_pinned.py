@@ -83,7 +83,7 @@ class TestPinnedBytes:
         ("fig2", "e_w285.csv",
          "6231b24c8f1931b1900731b0583abe05f4c89c0254875c352bf965a6eaecf7dc"),
         ("oracle-check", "oracle_check.csv",
-         "37405a56d01320a1dc473441fc09997420fc5774ca1667bb26f58f2af5307e93"),
+         "155d219d64a5aa7c5636b70f1be11fec3ad613f84e8adaaacb7eb7dcc2b02466"),
         ("weihs-compare", "analysis_cells.csv",
          "b11b577e4d27eebda725f64e87390e2269570ab9378683da1b632880f77800be"),
     ])

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from eprbsim import (
     SimParams,
     TtagFormatError,
     export_station_streams,
+    match_streams,
     read_events,
     run_pairs,
+    tally,
     write_events,
 )
 from eprbsim.ttag_io import (
@@ -228,6 +231,20 @@ class TestExport:
         assert np.all(s2.k - base >= 0) and np.all(s2.k - base <= p.max_tag)
         # cross-trial separation exceeds any admissible window
         assert np.min(np.diff(s1.k)) >= stride - p.max_tag > p.max_tag + 1
+
+    def test_span_below_int64_at_largest_t0_ratio(self):
+        # 2 * n * (max_tag + 1) < 2**63 holds up to n = 511 at t0_ratio = 2**53;
+        # the window max_tag + 1 admits every trial, so each must pair with itself
+        p = SimParams(w_bins=2**53 + 1, t0_ratio=2.0**53, d=3.0, n_trials=511, seed=9)
+        blk = run_pairs(Setting.from_polar(0), Setting.from_polar(0.8), p)
+        s1, s2 = export_station_streams(blk)
+        pairs = reference.match_pairs(s1.k.tolist(), s2.k.tolist(), p.w_bins)
+        assert pairs == [(i, i) for i in range(511)]
+        assert match_streams(s1, s2, p.w_bins)[(0, 0)] == tally(blk, p.w_bins)
+        blk = run_pairs(Setting.from_polar(0), Setting.from_polar(0.8),
+                        replace(p, n_trials=512))
+        with pytest.raises(ValueError, match=r"n_trials=512 at t0_ratio=9007199254740992\.0"):
+            export_station_streams(blk)
 
 
 class TestResultsCsv:
