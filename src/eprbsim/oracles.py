@@ -84,10 +84,11 @@ def gamma_limit(theta: float, d: float) -> float:
         raise ValueError("theta must lie in [0, pi]")
     check_exponent(d)
     psi = min(theta, math.pi - theta)
-    if psi < _COLINEAR_TOL:  # c1^2 = c2^2, c uniform on [-1, 1]: int_0^1 (1-c^2)^(-d/2) dc
-        if d >= 2.0:
-            return math.inf
+    if psi < _COLINEAR_TOL and d < 2.0:
+        # c1^2 = c2^2, c uniform on [-1, 1]: int_0^1 (1-c^2)^(-d/2) dc
         return math.sqrt(math.pi) / 2 * math.gamma(1 - d / 2) / math.gamma(1.5 - d / 2)
+    if psi == 0.0:  # that integral diverges at d >= 2
+        return math.inf
 
     def integrand(u: float) -> float:
         # g'(t) P(min(c1^2, c2^2) > t) dt, at t = cos^2(alpha), alpha = e^u
@@ -100,7 +101,7 @@ def gamma_limit(theta: float, d: float) -> float:
         val, err, _, *rest = integrate.quad(
             integrand, math.log(psi / 2), math.log(math.pi / 2),
             epsabs=0.0, epsrel=1e-11, full_output=True)
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: psi / 2 underflows to 0
         raise QuadratureError(f"limit overflows float64 at theta={theta!r}, d={d!r}") from None
     val += 1.0
     if rest or not math.isfinite(val) or err > 1e-4 * val:  # rest: quad's own warning

@@ -1,10 +1,12 @@
 """Shared simulate-and-estimate plumbing for sweeps, optimizers and scenarios.
 
 A :class:`ThetaEngine` fixes one ensemble of hidden draws (one seed) and
-evaluates many relative angles against it.  Station 1 is pinned to z-hat and
-station 2 to z-hat rotated by ``theta`` in the xz-plane; the engine's output
-at any ``theta`` is bit-identical to ``run_pairs`` with the same parameters,
-it merely avoids regenerating the draws and the station-1 events per point.
+counts it at many relative angles and windows.  Station 1 is pinned to z-hat
+and station 2 to z-hat rotated by ``theta`` in the xz-plane; the engine's
+counts at any ``theta`` and window are bit-identical to tallying
+``run_pairs`` with the same parameters, it merely avoids regenerating the
+draws and the station-1 events per point.  A call returns one int64 array
+of per-block cell counts, a row for each asked window and angle.
 
 An engine reads the ``params.n_trials`` trials starting at ``first_trial`` of
 the seed's counter stream, so engines at offsets a multiple of ``n_trials``
@@ -54,7 +56,6 @@ from .rng import check_trials
 _CHUNK = 1 << 15  # trials per step of a pass; fits in L2
 _BATCH = 2  # angles a tally counts per numpy call
 _TABLE_LIMIT = 1 << 28  # bytes a call's count tables and lookup table may take
-_WORKERS = None  # threads a call runs on; None: as many as the CPUs this process may use
 
 # a trial's draw block and the draws' work of ``_hidden_arrays``
 _DRAW_LAYOUT = ((DRAWS_PER_TRIAL + 1, np.float64), (3, np.uint64))
@@ -99,7 +100,7 @@ def _cpus() -> int:
 
 
 def _each_chunk(n: int, make, work) -> None:
-    """Run ``work(starts, buffers)`` on as many threads as there are workers and chunks.
+    """Run ``work(starts, buffers)`` on as many threads as there are CPUs and chunks.
 
     ``starts`` yields the first trial of each ``_CHUNK`` of ``n`` trials and
     is shared, so every chunk goes to one worker.  Each worker's ``buffers``
@@ -109,7 +110,7 @@ def _each_chunk(n: int, make, work) -> None:
     call starts has ended when it returns.
     """
     chunks = range(0, n, _CHUNK)
-    workers = min(_WORKERS or _cpus(), len(chunks))
+    workers = min(_cpus(), len(chunks))
     buffers = [make() for _ in range(workers)]
     lock, pending = threading.Lock(), iter(chunks)
 
@@ -137,7 +138,7 @@ def _each_chunk(n: int, make, work) -> None:
 
 
 class ThetaEngine:
-    """Evaluates correlation estimates over relative angles at a shared seed.
+    """Counts the coincidence cells over relative angles and windows at a shared seed.
 
     A tally reads, for each trial, station 2's ``-sx``, ``-sz`` and
     ``lambda2`` and station 1's ``k1`` and ``x1``.  Every setting lies in the
@@ -145,8 +146,8 @@ class ThetaEngine:
     ``sz`` and station 2 as ``sx * ax + sz * az``.
 
     Construction builds nothing.  A call streams the ensemble once: its
-    chunks are shared among ``_WORKERS`` threads, the calling thread one of
-    them; numpy lets go of the interpreter lock in the draws, the transform
+    chunks are shared among one thread for each CPU, the calling thread one
+    of them; numpy lets go of the interpreter lock in the draws, the transform
     and the station law, but every call takes it back.  Each worker's chunk
     buffers are allocated once a call, in the calling thread, and the count
     tables are shared: a worker adds its chunk's counts to a batch of
@@ -161,13 +162,13 @@ class ThetaEngine:
     a chunk makes about 20 numpy calls a batch, not an angle.  The batch's
     arrays are views into the worker's draw buffers, dead once the chunk is
     built: 64 bytes a trial hold the draws or two angles' tally.
-    ``block_counts_at`` is the one-angle case.  One tally of an angle counts
-    every asked window at once.  The windows' bounds are the sorted distinct
-    ``min(w, max_tag + 1)``, and a trial's class is the number of bounds at
-    or below its ``|k1 - k2|``; ``add_cells`` counts the classes as its
-    group, and the table is then summed cumulatively over the classes in
-    place.  An angle's int64 table takes ``32`` bytes a block for each
-    bound, and one more row when the widest bound is within ``max_tag``
+    ``block_counts_at`` is the one-angle, one-window case.  One tally of an
+    angle counts every asked window at once.  The windows' bounds are the
+    sorted distinct ``min(w, max_tag + 1)``, and a trial's class is the
+    number of bounds at or below its ``|k1 - k2|``; ``add_cells`` counts the
+    classes as its group, and the table is then summed cumulatively over the
+    classes in place.  An angle's int64 table takes ``32`` bytes a block for
+    each bound, and one more row when the widest bound is within ``max_tag``
     (12,800 bytes at 100 blocks and windows 1, 16 and 285).
     """
 
@@ -254,26 +255,23 @@ class ThetaEngine:
         table = hist.reshape(len(thetas), len(edges) - 1, classes, 4)
         return np.cumsum(table, axis=2, out=table)[:, :, :len(bounds)]
 
-    def block_counts_over(self, thetas, w_bins=None,
-                          n_blocks: int = JACKKNIFE_BLOCKS):
-        """Per-block cell counts at every angle of ``thetas``, for one or many windows.
+    def block_counts_over(self, thetas, windows,
+                          n_blocks: int = JACKKNIFE_BLOCKS) -> np.ndarray:
+        """Per-block cell counts at every window of ``windows`` and angle of ``thetas``.
 
-        ``w_bins`` may be an int, a non-empty sequence of ints, or None (the
-        params window).  Returns the ``(len(thetas), n_blocks, 4)`` count
-        array for a single window, or a dict of them keyed by window, in
-        first-seen order, for a sequence.  The distinct angles and windows
-        are tallied together in one pass over the ensemble.
+        Returns one int64 array of shape ``(len(windows), len(thetas),
+        n_blocks, 4)``, its rows in the asked order, a repeat included.  The
+        distinct angles and windows are tallied together in one pass over the
+        ensemble.
         """
-        windows = self.params.w_bins if w_bins is None else w_bins
-        single = np.isscalar(windows)
-        window_list = list(dict.fromkeys(map(check_window, [windows] if single else windows)))
-        if not window_list:
-            raise ValueError("w_bins must name at least one window, got an empty sequence")
+        windows = [check_window(w) for w in windows]
+        if not windows:
+            raise ValueError("windows must name at least one window, got an empty sequence")
         thetas = [float(t) for t in thetas]
 
         p = self.params
         edges = block_edges(p.n_trials, n_blocks)
-        clipped = [min(w, p.max_tag + 1) for w in window_list]
+        clipped = [min(w, p.max_tag + 1) for w in windows]
         bounds = sorted(set(clipped))
         distinct = list(dict.fromkeys(thetas))
         top, classes = _classes(bounds, p.max_tag)
@@ -282,7 +280,7 @@ class ThetaEngine:
             raise ValueError(
                 f"the count tables of {len(distinct)} angles at {classes} window classes "
                 f"and the lookup table of {top + 1} tag differences come to {size} bytes, "
-                f"over the {_TABLE_LIMIT}-byte limit (w_bins={max(window_list)}, "
+                f"over the {_TABLE_LIMIT}-byte limit (w_bins={max(windows)}, "
                 f"t0_ratio={p.t0_ratio!r}, n_blocks={n_blocks}); ask for a narrower window, "
                 f"fewer angles or fewer blocks")
 
@@ -290,29 +288,19 @@ class ThetaEngine:
         angle = {t: i for i, t in enumerate(distinct)}
         tables = self._cumulative(distinct, edges, bounds)
         picked = tables[:, :, [row[b] for b in clipped]][[angle[t] for t in thetas]]
-        counts = np.ascontiguousarray(picked.transpose(2, 0, 1, 3))
-        return counts[0] if single else dict(zip(window_list, counts))
+        return np.ascontiguousarray(picked.transpose(2, 0, 1, 3))
 
-    def block_counts_at(self, theta: float, w_bins=None,
-                        n_blocks: int = JACKKNIFE_BLOCKS):
-        """``block_counts_over`` at one angle: its ``(n_blocks, 4)`` array, or a dict of them."""
-        counts = self.block_counts_over([theta], w_bins, n_blocks)
-        if isinstance(counts, dict):
-            return {w: c[0] for w, c in counts.items()}
-        return counts[0]
-
-    def _estimate(self, blocks: np.ndarray) -> CorrelationEstimate:
-        return estimate(CoincidenceCounts.from_cells(blocks, self.params.n_trials), blocks)
-
-    def estimates_over(self, thetas, w_bins: int | None = None,
-                       n_blocks: int = JACKKNIFE_BLOCKS) -> list[CorrelationEstimate]:
-        """Jackknifed correlation estimates at each angle of ``thetas``, from one batch."""
-        return [self._estimate(b) for b in self.block_counts_over(thetas, w_bins, n_blocks)]
+    def block_counts_at(self, theta: float, w_bins: int | None = None,
+                        n_blocks: int = JACKKNIFE_BLOCKS) -> np.ndarray:
+        """The ``(n_blocks, 4)`` counts at one angle and window (None: the params window)."""
+        w = self.params.w_bins if w_bins is None else w_bins
+        return self.block_counts_over([theta], [w], n_blocks)[0, 0]
 
     def estimate_at(self, theta: float, w_bins: int | None = None,
                     n_blocks: int = JACKKNIFE_BLOCKS) -> CorrelationEstimate:
         """Jackknifed correlation estimate at one angle."""
-        return self._estimate(self.block_counts_at(theta, w_bins, n_blocks))
+        blocks = self.block_counts_at(theta, w_bins, n_blocks)
+        return estimate(CoincidenceCounts.from_cells(blocks, self.params.n_trials), blocks)
 
 
 def _classes(bounds: list[int], max_tag: int) -> tuple[int, int]:

@@ -73,8 +73,9 @@ def _window_sweeps(params: SimParams, windows, thetas) -> tuple[SweepResult, ...
         raise ValueError("theta grid must lie inside [0, pi]")
     if sorted(grid) != grid or len(set(grid)) != len(grid):
         raise ValueError("theta grid must be strictly increasing")
+    windows = list(dict.fromkeys(windows))
     sweeps = []
-    for w, cells in ThetaEngine(params).block_counts_over(grid, list(windows)).items():
+    for w, cells in zip(windows, ThetaEngine(params).block_counts_over(grid, windows)):
         rows = []
         for t, blocks in zip(grid, cells):
             est = estimate(CoincidenceCounts.from_cells(blocks, params.n_trials), blocks)
@@ -126,7 +127,9 @@ class FitResult:
     trace: tuple[tuple[int, float], ...] = ()
 
 
-def _check_tolerance(tolerance: float) -> None:
+def _check_fit(target_smax: float, tolerance: float) -> None:
+    if not math.isfinite(target_smax):
+        raise ValueError(f"target_smax must be finite, got {target_smax!r}")
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
 
@@ -146,7 +149,7 @@ def fit_window(target_smax: float, params: SimParams, tolerance: float = 0.01,
     the bracket member closer to the target, provided it lies within
     ``hypot(tolerance, stderr_s)`` of it.
     """
-    _check_tolerance(tolerance)
+    _check_fit(target_smax, tolerance)
     w_max = params.max_tag
     reports: dict[int, SReport] = {}
 
@@ -256,12 +259,11 @@ def _scenario_fits(params: SimParams, out: Path) -> dict[str, Path]:
 
 def _scenario_oracle_check(params: SimParams, out: Path) -> dict[str, Path]:
     grid = np.linspace(math.pi / 6, 5 * math.pi / 6, 9)
-    engine = ThetaEngine(replace(params, w_bins=1))
     rows = []
-    for t, est in zip(grid, engine.estimates_over(grid, w_bins=1, n_blocks=1)):
+    for t, cells in zip(grid, ThetaEngine(params).block_counts_over(grid, [1], 1)[0]):
         limit = gamma_limit(float(t), params.d)
-        rows.append([float(t), limit, est.gamma * params.t0_ratio,
-                     est.gamma * params.t0_ratio - limit])
+        gamma = estimate(CoincidenceCounts.from_cells(cells, params.n_trials)).gamma
+        rows.append([float(t), limit, gamma * params.t0_ratio, gamma * params.t0_ratio - limit])
     path = out / "oracle_check.csv"
     write_results_csv(
         path, ["theta", "limit_coeff", "sim_gamma_t0", "difference"], rows)

@@ -47,9 +47,14 @@ class TestExitCodes:
         (["oracle", "--d", "-1"], "d must be a finite real >= 0, got -1.0"),
         (["oracle", "--d", "nan"], "d must be a finite real >= 0, got nan"),
         (["oracle", "--d", "inf"], "d must be a finite real >= 0, got inf"),
+        (["fit", *BASE, "--target", "nan"], "target_smax must be finite, got nan"),
+        (["fit", *BASE, "--target", "inf"], "target_smax must be finite, got inf"),
+        (["simulate", *BASE, "--theta", "nan"], "theta must be finite, got nan"),
+        (["simulate", *BASE, "--theta", "inf"], "theta must be finite, got inf"),
     ], ids=["sweep-grid", "oracle-grid", "fit-tolerance", "smax-step-0", "smax-step-nan",
             "simulate-t0-ratio", "fit-t0-ratio", "oracle-d-negative", "oracle-d-nan",
-            "oracle-d-inf"])
+            "oracle-d-inf", "fit-target-nan", "fit-target-inf", "simulate-theta-nan",
+            "simulate-theta-inf"])
     def test_out_of_range_option_is_usage_error(self, capsys, argv, named):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1

@@ -79,7 +79,7 @@ def test_one_window_rule(w_bins, valid):
         for call in (lambda: tally(blk, w_bins),
                      lambda: tally_blocks(blk, w_bins),
                      lambda: engine.block_counts_at(1.0, w_bins),
-                     lambda: engine.block_counts_at(1.0, [1, w_bins]),
+                     lambda: engine.block_counts_over([1.0], [1, w_bins]),
                      lambda: engine.estimate_at(1.0, w_bins),
                      lambda: match_streams(s1, s2, w_bins),
                      lambda: analyze_streams(s1, s2, 1, 1, w_bins)):
@@ -91,7 +91,7 @@ def test_one_window_rule(w_bins, valid):
     expected = [ref.n_pp, ref.n_pm, ref.n_mp, ref.n_mm]
     matched = match_streams(s1, s2, w_bins)[(0, 0)]
     for got in (engine.block_counts_at(1.0, w_bins, 1)[0],
-                engine.block_counts_at(1.0, [w_bins], 7)[int(w_bins)].sum(axis=0),
+                engine.block_counts_over([1.0], [w_bins], 7)[0, 0].sum(axis=0),
                 tally_blocks(blk, w_bins, 1)[0],
                 [matched.n_pp, matched.n_pm, matched.n_mp, matched.n_mm]):
         assert list(got) == expected

@@ -134,7 +134,7 @@ def test_a_tally_leaves_no_thread_running():
 
     p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=5000, seed=3)
     before = threading.active_count()
-    with mock.patch.multiple(pipeline, _CHUNK=100, _WORKERS=2):
+    with mock.patch.multiple(pipeline, _CHUNK=100, _cpus=lambda: 2):
         ThetaEngine(p).block_counts_over([0.5, 1.0], [1, 16])
     assert threading.active_count() == before
     # no module of the package holds a pool or a thread between calls
@@ -158,3 +158,37 @@ def test_benchmark_finds_every_traced_function(monkeypatch):
     finally:
         tracer.uninstall()
     assert set(missing) <= {"ThetaEngine.gamma_at"}
+
+
+def test_benchmark_trace_reads_the_engine_calls(monkeypatch, tmp_path):
+    # a traced run reads the arguments and results of the functions it wraps;
+    # run those readers on one maximize_S and one scenario, as a run would
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    import run
+    import tracing
+
+    from eprbsim import SimParams, inequalities, pipeline, scenarios
+    importlib.import_module("eprbsim.cli")  # trace_targets reads the package's cli
+
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)  # the tracer keeps one span stack
+    inequalities._selection.clear()  # so the selection ensemble is built
+    targets = run.trace_targets(eprbsim)
+    counted = {name for _, _, name, counts in targets if counts is not None}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(targets)
+        inequalities.maximize_S(SimParams(w_bins=16, t0_ratio=100.0, d=3.0, n_trials=2000,
+                                          seed=3))
+        smax = list(tracer.spans)
+        scenarios.run_scenario("fig1", tmp_path, {"n_trials": 2000})
+    finally:
+        tracer.uninstall()
+    # a reader that raised would have failed its call; one that ran left its counts
+    assert all("counts" in span for span in tracer.spans if span["name"] in counted)
+    assert {span["name"] for span in tracer.spans} >= {
+        "pipeline.ensemble", "pipeline.tally", "scenarios.run_scenario"}
+    # the selection ensemble and four held-out legs, each leg one tally at one window
+    assert sum(span["name"] == "pipeline.ensemble" for span in smax) == 5
+    tallies = [span["counts"] for span in smax if span["name"] == "pipeline.tally"]
+    assert len(tallies) == 4
+    assert all(type(c["theta"]) is float and c["windows"] == 1 for c in tallies)

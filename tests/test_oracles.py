@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from eprbsim import (
+    CoincidenceCounts,
     QuadratureError,
     Setting,
     SimParams,
+    estimate,
     gamma_limit,
     quantum_E,
     raw_sign_E,
@@ -75,7 +77,7 @@ class TestGammaLimit:
         for theta in thetas:
             assert abs(gamma_limit(theta, 3.0) - 4 / (math.pi * math.sin(theta))) < 1e-9
 
-    @pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-8])
+    @pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-8, 9e-10, 1e-15])
     def test_near_colinear_cubic_exponent(self, theta):
         assert gamma_limit(theta, 3.0) == pytest.approx(4 / (math.pi * math.sin(theta)),
                                                         rel=1e-8)
@@ -127,7 +129,7 @@ class TestGammaLimit:
             gamma_limit(1.0, d)
 
     @pytest.mark.parametrize("theta, d", [(1.0, 2000.0), (1.0, 1e6), (math.pi / 2, 1e300),
-                                          (1e-3, 100.0)])
+                                          (1e-3, 100.0), (5e-324, 3.0)])
     def test_overflow_is_a_named_quadrature_error(self, theta, d):
         with pytest.raises(QuadratureError, match=re.escape(f"theta={theta!r}, d={d!r}")):
             gamma_limit(theta, d)
@@ -164,7 +166,8 @@ class TestSimulatorAgainstOracles:
         # small window, long delay range: E approaches -cos theta
         p = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=10**6, seed=123)
         grid = np.linspace(0.0, math.pi, 13)
-        for t, est in zip(grid, ThetaEngine(p).estimates_over(grid)):
+        for t, cells in zip(grid, ThetaEngine(p).block_counts_over(grid, [p.w_bins])[0]):
+            est = estimate(CoincidenceCounts.from_cells(cells, p.n_trials), cells)
             assert abs(est.e + math.cos(t)) <= 0.02
 
     @pytest.mark.slow
@@ -176,7 +179,8 @@ class TestSimulatorAgainstOracles:
         errs = []
         for t0, n in ((100.0, 2 * 10**5), (1000.0, 2 * 10**6), (10000.0, 2 * 10**7)):
             p = SimParams(w_bins=1, t0_ratio=t0, d=3.0, n_trials=n, seed=4)
-            scaled = np.array([est.gamma * t0
-                               for est in ThetaEngine(p).estimates_over(grid, n_blocks=1)])
+            cells = ThetaEngine(p).block_counts_over(grid, [p.w_bins], 1)[0]
+            scaled = np.array([estimate(CoincidenceCounts.from_cells(c, n)).gamma * t0
+                               for c in cells])
             errs.append(float(np.mean(np.abs(scaled - limits))))
         assert errs[0] > errs[1] > errs[2]

@@ -220,24 +220,25 @@ class TestEngineMatchesReferenceTally:
         # last row (max_tag), one past it and a window far outside it
         windows = windows + [1, p.max_tag, p.max_tag + 1, 5 * p.max_tag + 3]
         blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
-        expected = {w: tally_blocks(blk, w, n_blocks) for w in windows}
+        # row i holds windows[i], repeats too
+        expected = np.array([tally_blocks(blk, w, n_blocks) for w in windows])
         engine = ThetaEngine(p)
-        cached = engine.block_counts_at(theta, windows, n_blocks)
+        cached = engine.block_counts_over([theta], windows, n_blocks)[:, 0]
         # a chunk size that is no multiple of the block size puts chunk
         # boundaries inside jackknife blocks
         with mock.patch.object(pipeline, "_CHUNK", chunk):
-            chunked = ThetaEngine(p).block_counts_at(theta, windows, n_blocks)
+            chunked = ThetaEngine(p).block_counts_over([theta], windows, n_blocks)[:, 0]
         for got in (cached, chunked):
-            assert got.keys() == expected.keys()
-            assert all(np.array_equal(got[w], expected[w]) for w in expected)
+            assert got.shape == expected.shape and np.array_equal(got, expected)
 
         # one block, as the selection grid tallies, and the coincidence
         # frequency read off it
-        one = engine.block_counts_at(theta, windows, 1)
-        assert one.keys() == expected.keys()
-        for w in windows:
+        one = engine.block_counts_over([theta], windows, 1)[:, 0]
+        assert one.shape == (len(windows), 1, 4) and one.dtype == np.int64
+        for w, cells in zip(windows, one):
             merged = tally_blocks(blk, w, 1)
-            assert np.array_equal(one[w], merged) and one[w].dtype == np.int64
+            assert np.array_equal(cells, merged)
+            assert np.array_equal(engine.block_counts_at(theta, w, 1), merged)
             assert engine.estimate_at(theta, w, 1).gamma == int(merged.sum()) / p.n_trials
 
     @settings(max_examples=30, deadline=None)
@@ -263,13 +264,12 @@ class TestEngineMatchesReferenceTally:
             engine = ThetaEngine(p)
             got = engine.block_counts_over(thetas, windows, n_blocks)
             merged = engine.block_counts_over(thetas, windows, 1)
-            single = engine.block_counts_over(thetas, windows[0], n_blocks)
-        assert list(got) == list(merged) == list(dict.fromkeys(windows))
-        assert np.array_equal(single, got[windows[0]])
-        for w in windows:
-            assert got[w].shape == (len(thetas), min(n_blocks, n_trials), 4)
-            assert merged[w].shape == (len(thetas), 1, 4)
-            for theta, cells, one in zip(thetas, got[w], merged[w]):
+            single = engine.block_counts_over(thetas, windows[:1], n_blocks)
+        assert got.shape == (len(windows), len(thetas), min(n_blocks, n_trials), 4)
+        assert merged.shape == (len(windows), len(thetas), 1, 4)
+        assert np.array_equal(single, got[:1])
+        for w, cells_w, merged_w in zip(windows, got, merged):
+            for theta, cells, one in zip(thetas, cells_w, merged_w):
                 blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
                 assert np.array_equal(cells, tally_blocks(blk, w, n_blocks))
                 assert np.array_equal(one, tally_blocks(blk, w, 1))
@@ -347,24 +347,33 @@ class TestEngineMatchesReferenceTally:
     def test_returned_counts_are_copies(self):
         p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=2000, seed=4)
         engine = ThetaEngine(p)
-        first = engine.block_counts_at(1.2, [1, 16], n_blocks=1)
-        expected = {w: c.copy() for w, c in first.items()}
-        for c in first.values():
-            c += 1000
-        again = engine.block_counts_at(1.2, [1, 16], n_blocks=1)
-        assert all(np.array_equal(again[w], expected[w]) for w in expected)
+        first = engine.block_counts_over([1.2], [1, 16], n_blocks=1)
+        expected = first.copy()
+        first += 1000
+        again = engine.block_counts_over([1.2], [1, 16], n_blocks=1)
+        assert np.array_equal(again, expected)
         gamma = engine.estimate_at(1.2, 16, n_blocks=1).gamma
-        assert gamma == int(expected[16].sum()) / p.n_trials
+        assert gamma == int(expected[1].sum()) / p.n_trials
 
     def test_repeated_window_counted_once(self):
         p = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=10**5, seed=3)
         engine = ThetaEngine(p)
         single = engine.block_counts_at(1.0, 16)
-        twice = engine.block_counts_at(1.0, [16, 16])
-        assert list(twice) == [16] and np.array_equal(twice[16], single)
-        wide = engine.block_counts_at(1.0, [285, 16, 285])
-        assert list(wide) == [285, 16]
-        assert np.array_equal(wide[285], engine.block_counts_at(1.0, 285))
+        bounds, real = [], ThetaEngine._cumulative
+
+        def spy(self, thetas, edges, asked):
+            bounds.append(asked)
+            return real(self, thetas, edges, asked)
+
+        with mock.patch.object(ThetaEngine, "_cumulative", spy):
+            twice = engine.block_counts_over([1.0], [16, 16])[:, 0]
+            wide = engine.block_counts_over([1.0], [285, 16, 285])[:, 0]
+        # each distinct window is one bound of the tally, and gets a row each time it is asked
+        assert bounds == [[16], [16, 285]]
+        assert twice.shape == (2, 100, 4) and all(np.array_equal(c, single) for c in twice)
+        assert wide.shape == (3, 100, 4) and np.array_equal(wide[1], single)
+        assert np.array_equal(wide[0], wide[2])
+        assert np.array_equal(wide[0], engine.block_counts_at(1.0, 285))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -388,9 +397,9 @@ class TestEngineMatchesReferenceTally:
         # chunk boundaries fall inside the jackknife blocks the tallies count
         with mock.patch.object(pipeline, "_CHUNK", chunk):
             for n_blocks in (1, 7, 100):
-                got = engine.block_counts_at(theta, windows, n_blocks)
-                for w in windows:
-                    assert np.array_equal(got[w], tally_blocks(blk, w, n_blocks))
+                got = engine.block_counts_over([theta], windows, n_blocks)[:, 0]
+                for w, cells in zip(windows, got):
+                    assert np.array_equal(cells, tally_blocks(blk, w, n_blocks))
 
     @pytest.mark.parametrize("theta", _CRAFTED_THETAS)
     @pytest.mark.parametrize("d", [0.0, 3.0])
@@ -425,10 +434,10 @@ class TestEngineMatchesReferenceTally:
         with mock.patch.object(pipeline, "_hidden_arrays", crafted):
             engine = ThetaEngine(p)
             built = built_columns(engine, len(lam))
-            got = engine.block_counts_at(theta, windows, n_blocks=len(lam))
+            got = engine.block_counts_over([theta], windows, n_blocks=len(lam))[:, 0]
         assert np.array_equal(built[3], x1) and np.array_equal(built[4], k1)
         blk = TrialBlock(p, x1, k1, x2, k2)
-        assert all(np.array_equal(got[w], tally_blocks(blk, w, len(lam))) for w in windows)
+        assert all(np.array_equal(c, tally_blocks(blk, w, len(lam))) for w, c in zip(windows, got))
 
     def test_kept_memory(self):
         # no call leaves an ensemble, or any other array, on the engine
@@ -441,14 +450,14 @@ class TestEngineMatchesReferenceTally:
         p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=1001, seed=2)
         # one angle; 17 angles at one block; 17 angles at 100 blocks and
         # every window up to max_tag + 1 = 39 (124,800 bytes of tables each);
-        # and their estimates
+        # and an estimate
         thetas = np.linspace(0.0, math.pi, 17)
         engine = ThetaEngine(p)
         assert held(engine) == 0
         for call in (lambda: engine.block_counts_at(1.0, 39),
-                     lambda: engine.block_counts_over(thetas, 39, n_blocks=1),
+                     lambda: engine.block_counts_over(thetas, [39], n_blocks=1),
                      lambda: engine.block_counts_over(thetas, range(1, 40)),
-                     lambda: engine.estimates_over(thetas, 16)):
+                     lambda: engine.estimate_at(1.0, 16)):
             call()
             assert held(engine) == 0 and set(vars(engine)) == {"params", "first_trial"}
 
@@ -477,11 +486,11 @@ class TestEngineMatchesReferenceTally:
         else:
             windows = {"figure": [1, 16, 285], "one": [3],
                        "every": list(range(1, p.max_tag + 2)), "past": [p.max_tag + 5]}[windows]
-        with mock.patch.multiple(pipeline, _CHUNK=chunk, _WORKERS=workers, _BATCH=batch):
+        with mock.patch.multiple(pipeline, _CHUNK=chunk, _cpus=lambda: workers, _BATCH=batch):
             got = ThetaEngine(p).block_counts_over(thetas, windows, n_blocks)
-        assert list(got) == list(dict.fromkeys(windows))
-        for w in windows:
-            for theta, cells in zip(thetas, got[w]):
+        assert got.shape == (len(windows), len(thetas), min(n_blocks, n_trials), 4)
+        for w, cells_w in zip(windows, got):
+            for theta, cells in zip(thetas, cells_w):
                 blk = run_pairs(Setting.from_polar(0.0), Setting.from_polar(theta), p)
                 assert np.array_equal(cells, tally_blocks(blk, w, n_blocks))
 
@@ -497,7 +506,7 @@ class TestEngineMatchesReferenceTally:
             rows.append(len(c) if c.ndim == 2 else 0)
             return _station_kernel(c, *args, **kwargs)
 
-        with mock.patch.multiple(pipeline, _CHUNK=30, _WORKERS=1, _BATCH=batch), \
+        with mock.patch.multiple(pipeline, _CHUNK=30, _cpus=lambda: 1, _BATCH=batch), \
                 mock.patch.object(pipeline, "_station_kernel", spy):
             ThetaEngine(p).block_counts_over(thetas, [1, 16])
         per_chunk = [0] + [min(batch, 5 - j) for j in range(0, 5, batch)]
@@ -511,7 +520,7 @@ class TestEngineMatchesReferenceTally:
         p = SimParams(w_bins=1, t0_ratio=1000.0, d=3.0, n_trials=1 << 16, seed=5)
         thetas = np.linspace(0.0, math.pi, 37)
         engine = ThetaEngine(p)
-        with mock.patch.object(pipeline, "_WORKERS", 1):
+        with mock.patch.object(pipeline, "_cpus", lambda: 1):
             tracemalloc.start()
             try:
                 engine.block_counts_over(thetas, [1, 16, 285], 100)
@@ -524,13 +533,11 @@ class TestEngineMatchesReferenceTally:
         p = SimParams(w_bins=16, t0_ratio=37.5, d=3.0, n_trials=500, seed=2)
         engine = ThetaEngine(p)
         with mock.patch.object(pipeline, "_hidden_arrays", side_effect=AssertionError):
-            for got, n_blocks in ((engine.block_counts_over([]), 100),
-                                  (engine.block_counts_over([], 3, n_blocks=7), 7)):
-                assert got.shape == (0, n_blocks, 4) and got.dtype == np.int64
+            for got, n_blocks in ((engine.block_counts_over([], [16]), 100),
+                                  (engine.block_counts_over([], [3], n_blocks=7), 7)):
+                assert got.shape == (1, 0, n_blocks, 4) and got.dtype == np.int64
             many = engine.block_counts_over([], [1, 16, 285])
-            assert list(many) == [1, 16, 285]
-            assert all(c.shape == (0, 100, 4) and c.dtype == np.int64 for c in many.values())
-            assert engine.estimates_over([]) == []
+            assert many.shape == (3, 0, 100, 4) and many.dtype == np.int64
 
     def test_empty_window_list_is_named(self):
         p = SimParams(w_bins=16, t0_ratio=37.5, d=3.0, n_trials=500, seed=2)
@@ -551,9 +558,9 @@ class TestEngineMatchesReferenceTally:
                 mock.patch.object(pipeline, "_CHUNK", 30), \
                 mock.patch.object(pipeline.os, "sched_getaffinity", return_value={0, 1, 2}):
             ThetaEngine(p).block_counts_at(1.0)  # 4 chunks on 3 CPUs: 2 more threads
-            with mock.patch.object(pipeline, "_WORKERS", 8):
-                ThetaEngine(p).block_counts_at(1.0)  # 8 workers, but 4 chunks
-            with mock.patch.object(pipeline, "_WORKERS", 1):
+            with mock.patch.object(pipeline.os, "sched_getaffinity", return_value=set(range(8))):
+                ThetaEngine(p).block_counts_at(1.0)  # 8 CPUs, but 4 chunks
+            with mock.patch.object(pipeline, "_cpus", lambda: 1):
                 ThetaEngine(p).block_counts_at(1.0)  # no thread
         assert seen == [2, 3]
 
@@ -563,7 +570,7 @@ class TestEngineMatchesReferenceTally:
         # no update is lost, however the workers' chunks interleave
         p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=2000, seed=6)
         thetas, windows = [0.3, 1.1], [1, 16]
-        with mock.patch.multiple(pipeline, _CHUNK=50, _WORKERS=1):
+        with mock.patch.multiple(pipeline, _CHUNK=50, _cpus=lambda: 1):
             expected = ThetaEngine(p).block_counts_over(thetas, windows, 1)
         inside, most, guard = [0], [0], threading.Lock()
 
@@ -579,12 +586,13 @@ class TestEngineMatchesReferenceTally:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.multiple(pipeline, _CHUNK=50, _WORKERS=6, _BATCH=2, add_cells=spy):
+            with mock.patch.multiple(pipeline, _CHUNK=50, _cpus=lambda: 6, _BATCH=2,
+                                     add_cells=spy):
                 got = ThetaEngine(p).block_counts_over(thetas, windows, 1)
         finally:
             sys.setswitchinterval(interval)
         assert most == [1]
-        assert all(np.array_equal(got[w], expected[w]) for w in expected)
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("first_trial", [1.5, True, np.float64(2.0), "1", -1])
     def test_offset_must_be_an_integer(self, first_trial):
