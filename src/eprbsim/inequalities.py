@@ -3,7 +3,8 @@
 ``maximize_S`` exploits rotational invariance: the correlation depends on a
 setting pair only through their relative angle, so it is estimated once on a
 theta grid (one shared seed), interpolated with a monotone cubic, and the
-four-correlation combination is then maximized over planar angle quadruples.
+four-correlation combination is then maximized over planar angle quadruples
+(``_maximize_curve``).
 The maximum of a noisy curve is biased upward, so the reported combination is
 not read off that curve: each of the four legs (setting pairs) is estimated
 afresh at the chosen angles on its own independent ensemble of the same size,
@@ -91,7 +92,8 @@ class SReport:
 
     ``s`` is the held-out combination: its four legs are estimated at the
     chosen angles on ensembles independent of the one that chose them, and
-    ``stderr_s`` is the root-sum-square of the four legs' jackknife errors.
+    ``stderr_s`` is the root-sum-square of the four legs' jackknife errors,
+    or ``None`` when a leg has no error (one block holds all its coincidences).
     ``s_select`` is the maximum of the interpolated selection curve, biased
     upward by the selection; it is reported for comparison only.
     """
@@ -149,51 +151,50 @@ def _fold(delta):
     return np.where(d > math.pi, 2.0 * math.pi - d, d)
 
 
-class _CurveMaximizer:
-    """Maximizes the combination over planar quadruples of one E(theta) curve."""
+def _maximize_curve(thetas, e_values):
+    """Maximize the combination over planar quadruples of one E(theta) curve.
 
-    def __init__(self, thetas, e_values):
-        self._interp = PchipInterpolator(thetas, e_values)
+    The curve is a PCHIP interpolant of ``e_values``.  A coarse grid of
+    quadruples with ``a = 0`` is searched first, then each angle in turn by
+    golden section.  Returns the maximum and its angles ``(a, b, c, d)`` in
+    [0, 2 pi).
+    """
+    interp = PchipInterpolator(thetas, e_values)
 
-    def e_of(self, delta):
-        return self._interp(_fold(delta))
-
-    def s_of(self, quad_angles) -> float:
+    def s_of(quad_angles) -> float:
         a, b, c, d = quad_angles
-        e_ac, e_ad, e_bc, e_bd = self.e_of(np.array([a - c, a - d, b - c, b - d]))
+        e_ac, e_ad, e_bc, e_bd = interp(_fold(np.array([a - c, a - d, b - c, b - d])))
         return float(e_ac - e_ad + e_bc + e_bd)
 
-    def maximize(self):
-        m = max(8, int(round(2.0 * math.pi / _COARSE_STEP)))
-        step = 2.0 * math.pi / m
-        table = self.e_of(np.arange(m) * step)
-        # the combination only sees angle differences, so pin a = 0
-        b = np.arange(m)[:, None, None]
-        c = np.arange(m)[None, :, None]
-        d = np.arange(m)[None, None, :]
-        s = (table[(-c) % m] - table[(-d) % m]
-             + table[(b - c) % m] + table[(b - d) % m])
-        ib, ic, id_ = np.unravel_index(int(np.argmax(s)), s.shape)
-        best = [0.0, ib * step, ic * step, id_ * step]
-        best_s = float(s[ib, ic, id_])
+    m = max(8, int(round(2.0 * math.pi / _COARSE_STEP)))
+    step = 2.0 * math.pi / m
+    table = interp(_fold(np.arange(m) * step))
+    # the combination only sees angle differences, so pin a = 0
+    b = np.arange(m)[:, None, None]
+    c = np.arange(m)[None, :, None]
+    d = np.arange(m)[None, None, :]
+    s = (table[(-c) % m] - table[(-d) % m]
+         + table[(b - c) % m] + table[(b - d) % m])
+    ib, ic, id_ = np.unravel_index(int(np.argmax(s)), s.shape)
+    best = [0.0, ib * step, ic * step, id_ * step]
+    best_s = float(s[ib, ic, id_])
 
-        for _ in range(4):
-            improved = False
-            for axis in range(4):
-                def on_axis(x, axis=axis):
-                    q = list(best)
-                    q[axis] = x
-                    return self.s_of(q)
+    for _ in range(4):
+        improved = False
+        for axis in range(4):
+            def on_axis(x, axis=axis):
+                q = list(best)
+                q[axis] = x
+                return s_of(q)
 
-                x, v = _golden_max(on_axis, best[axis] - step, best[axis] + step,
-                                   _REFINE_TOL)
-                if v > best_s + 1e-15:
-                    best[axis] = x
-                    best_s = v
-                    improved = True
-            if not improved:
-                break
-        return best_s, tuple(float(t % (2.0 * math.pi)) for t in best)
+            x, v = _golden_max(on_axis, best[axis] - step, best[axis] + step, _REFINE_TOL)
+            if v > best_s + 1e-15:
+                best[axis] = x
+                best_s = v
+                improved = True
+        if not improved:
+            break
+    return best_s, tuple(float(t % (2.0 * math.pi)) for t in best)
 
 
 def _gamma_infimum(thetas, gammas) -> GammaInfimum:
@@ -232,9 +233,9 @@ def _selection_cells(params: SimParams, thetas: np.ndarray) -> np.ndarray:
 def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
     """Search planar settings for the maximal combination at one seed.
 
-    Estimates E(theta) on the search grid with trials shared across points,
-    interpolates, and maximizes over angle quadruples (coarse grid then
-    coordinate-wise golden-section refinement); that maximum is ``s_select``.
+    Estimates E(theta) on the search grid with trials shared across points
+    and maximizes the combination over angle quadruples of that curve with
+    :func:`_maximize_curve`; that maximum is ``s_select``.
     The reported ``s`` is held out: leg ``i`` of the chosen quadruple is
     estimated on trials ``(i+1)N .. (i+2)N-1`` of the seed's counter stream
     (``N = params.n_trials``), so each setting pair gets its own ensemble of
@@ -260,7 +261,7 @@ def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
             f"no coincidences at {len(undefined)} grid angles "
             f"(first at theta={thetas[undefined[0]]:.4f}); window too small for N")
     gammas = np.array([est.gamma for est in ests])
-    s_select, angles = _CurveMaximizer(thetas, e_vals).maximize()
+    s_select, angles = _maximize_curve(thetas, e_vals)
 
     n = params.n_trials
     a, b, c, d = angles
@@ -269,7 +270,8 @@ def maximize_S(params: SimParams, theta_step: float = THETA_STEP) -> SReport:
     if any(leg.e is None for leg in legs):
         raise FitError("no coincidences in a held-out leg; window too small for N")
     s = s_value(*(leg.e for leg in legs))
-    stderr_s = math.sqrt(sum((leg.stderr_e or 0.0) ** 2 for leg in legs))
+    errors = [leg.stderr_e for leg in legs]
+    stderr_s = None if None in errors else math.sqrt(sum(e ** 2 for e in errors))
 
     inf = _gamma_infimum(thetas, gammas)
     return SReport(

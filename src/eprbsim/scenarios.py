@@ -139,15 +139,13 @@ def fit_window(target_smax: float, params: SimParams, tolerance: float = 0.01,
     """Find the integer window reproducing a target combination value.
 
     Integer bisection over ``[1, ceil(t0_ratio)]`` at the params seed on the
-    held-out combination of :func:`maximize_S`, assuming it is non-increasing
-    in the window; the assumption is checked on the evaluations themselves
-    (3 sigma slack) and on violation the search falls back to a logarithmic
-    scan.  A target is outside the achievable range, and raises
-    :class:`FitError` naming it, only when it lies beyond ``S(1)`` or
-    ``S(ceil(t0_ratio))`` by more than ``tolerance`` plus the same 3 sigma.
-    Returns the smallest bracket member within ``tolerance``; failing that,
-    the bracket member closer to the target, provided it lies within
-    ``hypot(tolerance, stderr_s)`` of it.
+    held-out combination of :func:`maximize_S`, which falls as the window
+    grows in the exact curves.  A target is outside the achievable range,
+    and raises :class:`FitError` naming it, only when it lies beyond
+    ``S(1)`` or ``S(ceil(t0_ratio))`` by more than ``tolerance`` plus 3
+    sigma.  Returns the smallest bracket member within ``tolerance``;
+    failing that, the bracket member closer to the target, provided it lies
+    within ``hypot(tolerance, stderr_s)`` of it.
     """
     _check_fit(target_smax, tolerance)
     w_max = params.max_tag
@@ -168,14 +166,6 @@ def fit_window(target_smax: float, params: SimParams, tolerance: float = 0.01,
     def sigma(w: int) -> float:
         return reports[w].stderr_s or 0.0
 
-    def monotone_ok() -> bool:
-        seen = sorted((w, r.s, sigma(w)) for w, r in reports.items())
-        for (w1, s1, g1), (w2, s2, g2) in zip(seen, seen[1:]):
-            slack = 3.0 * math.hypot(g1, g2) + 1e-9
-            if s2 > s1 + slack:
-                return False
-        return True
-
     s_lo = s_at(1)
     if s_lo + 3.0 * sigma(1) < target_smax - tolerance:
         raise FitError(
@@ -183,38 +173,29 @@ def fit_window(target_smax: float, params: SimParams, tolerance: float = 0.01,
             f"{s_lo:.4f} ± {sigma(1):.4f} at w_bins=1")
     if abs(s_lo - target_smax) <= tolerance:
         return result(1)
-    if w_max > 1:
-        s_hi = s_at(w_max)
-        if s_hi - 3.0 * sigma(w_max) > target_smax + tolerance:
-            raise FitError(
-                f"target {target_smax} below achievable range: combination "
-                f"{s_hi:.4f} ± {sigma(w_max):.4f} at w_bins={w_max}")
-        lo, hi = 1, w_max
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if s_at(mid) >= target_smax:
-                lo = mid
-            else:
-                hi = mid
-        if not monotone_ok():
-            # bisection premise failed; scan a logarithmic grid instead
-            grid = sorted({int(round(w)) for w in np.geomspace(1, w_max, 25)})
-            best = min(grid, key=lambda w: abs(s_at(w) - target_smax))
-            if abs(s_at(best) - target_smax) <= tolerance:
-                return result(best)
-            raise FitError(
-                f"no window within tolerance {tolerance} of target "
-                f"{target_smax}; closest {s_at(best):.4f} at w_bins={best}")
-        candidates = [w for w in (lo, hi) if abs(s_at(w) - target_smax) <= tolerance]
-        if candidates:
-            return result(min(candidates))
-        closer = min((lo, hi), key=lambda w: abs(s_at(w) - target_smax))
-        if abs(s_at(closer) - target_smax) <= math.hypot(tolerance, sigma(closer)):
-            return result(closer)
+    if w_max == 1:
+        raise FitError(f"target {target_smax} unreachable with w_bins fixed at 1")
+    s_hi = s_at(w_max)
+    if s_hi - 3.0 * sigma(w_max) > target_smax + tolerance:
         raise FitError(
-            f"no bracket member within tolerance {tolerance}: "
-            f"S({lo})={s_at(lo):.4f}, S({hi})={s_at(hi):.4f} vs target {target_smax}")
-    raise FitError(f"target {target_smax} unreachable with w_bins fixed at 1")
+            f"target {target_smax} below achievable range: combination "
+            f"{s_hi:.4f} ± {sigma(w_max):.4f} at w_bins={w_max}")
+    lo, hi = 1, w_max
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if s_at(mid) >= target_smax:
+            lo = mid
+        else:
+            hi = mid
+    candidates = [w for w in (lo, hi) if abs(s_at(w) - target_smax) <= tolerance]
+    if candidates:
+        return result(min(candidates))
+    closer = min((lo, hi), key=lambda w: abs(s_at(w) - target_smax))
+    if abs(s_at(closer) - target_smax) <= math.hypot(tolerance, sigma(closer)):
+        return result(closer)
+    raise FitError(
+        f"no bracket member within tolerance {tolerance}: "
+        f"S({lo})={s_at(lo):.4f}, S({hi})={s_at(hi):.4f} vs target {target_smax}")
 
 
 # ---------------------------------------------------------------------------

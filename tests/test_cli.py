@@ -244,6 +244,13 @@ class TestOtherCommands:
         assert abs(float(values["s_max"])) <= 4.0
         assert 0.0 < float(values["gamma_inf"]) <= 1.0
 
+    def test_smax_leg_without_error(self, capsys):
+        code, out, _ = run_cli(capsys, "smax", "--n", "60", "--t0-ratio", "20",
+                               "--w-bins", "1", "--seed", "11")
+        assert code == 0
+        values = dict(line.split(" = ") for line in out.strip().splitlines())
+        assert values["stderr_s"] == "undefined"
+
     def test_scenario_cli(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "scenario", "oracle-check",
                                "--out", str(tmp_path), "--n", "20000")

@@ -214,10 +214,10 @@ class TestSelectionEngineReuse:
 class TestHeldOutLegs:
     P = SimParams(w_bins=8, t0_ratio=200.0, d=3.0, n_trials=2 * 10**4, seed=19)
 
-    def _legs(self, rep):
+    def _legs(self, rep, params=P):
         a, b, c, d = rep.quad_angles
-        n = self.P.n_trials
-        return [ThetaEngine(self.P, first_trial=(i + 1) * n).estimate_at(float(_fold(delta)))
+        n = params.n_trials
+        return [ThetaEngine(params, first_trial=(i + 1) * n).estimate_at(float(_fold(delta)))
                 for i, delta in enumerate((a - c, a - d, b - c, b - d))]
 
     def test_s_is_held_out_combination(self):
@@ -228,6 +228,15 @@ class TestHeldOutLegs:
         assert rep.s_select is not None and abs(rep.s_select) <= 4.0
         assert rep.s_select != rep.s
         assert [type(t) for t in rep.quad_angles] == [float] * 4
+
+    def test_leg_without_error_leaves_stderr_undefined(self):
+        # leg 2 holds one coincidence, so its jackknife error is undefined
+        p = SimParams(w_bins=1, t0_ratio=20.0, d=3.0, n_trials=60, seed=11)
+        rep = maximize_S(p)
+        legs = self._legs(rep, p)
+        assert [leg.stderr_e is None for leg in legs] == [False, False, True, False]
+        assert legs[2].n_coinc == 1
+        assert rep.stderr_s is None
 
     def test_zero_offset_engine_is_default_engine(self):
         default = ThetaEngine(self.P)

@@ -8,7 +8,8 @@ check the engine at any chunk size, window set and worker count against the
 per-block reference tally of ``run_pairs``.  The stream-matching pins cover
 ``match_streams`` on random multi-setting streams and on the exported layout
 of four blocks; the TTAG-CSV pins cover the writer's bytes on two streams;
-the command-line pins cover the tables that ``sweep`` and ``analyze`` print.
+the command-line pins cover the tables that ``sweep`` and ``analyze`` print
+and the reports of ``smax`` and ``fit``.
 """
 
 import hashlib
@@ -86,6 +87,8 @@ class TestPinnedBytes:
          "155d219d64a5aa7c5636b70f1be11fec3ad613f84e8adaaacb7eb7dcc2b02466"),
         ("weihs-compare", "analysis_cells.csv",
          "b11b577e4d27eebda725f64e87390e2269570ab9378683da1b632880f77800be"),
+        ("fits", "fits.csv",
+         "3427cf7cd3d19787425ce4905bdee298e4a16f5a05ee2ad8789bd303b14601a3"),
     ])
     def test_scenario_table_digest(self, tmp_path, name, table, digest):
         run = run_scenario(name, tmp_path, {"n_trials": 20000, "seed": 5})
@@ -108,6 +111,18 @@ class TestPinnedBytes:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "48bee23b80c6234111ded40ffc3c4401b6271a9a7c252b5cb218885d70879ff1")
+
+    def test_smax_stdout(self, capsys):
+        assert main(["smax", "--w-bins", "16", "--n", "20000", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "15f28bc92db4593d4a6e845d3af100b60264d91c24d26fd9a77a094d57fa4064")
+
+    def test_fit_stdout(self, capsys):
+        assert main(["fit", "--target", "2.73", "--n", "20000", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "95db61e69785d6c3c0133105314bff1dfbccc23c4209929b6b08493a9940fe31")
 
     def test_analyze_stdout(self, tmp_path, capsys):
         streams = synthetic_singlet_streams([0.0, math.pi / 2],

@@ -153,6 +153,14 @@ class TestFitWindowDecisions:
         with pytest.raises(FitError, match="no bracket member"):
             fit_window(2.83, self.P)
 
+    def test_noise_rise_keeps_the_bracket_answer(self, monkeypatch):
+        # S(250) lies far above S(125), but the bisection's path is unchanged
+        _scripted_search(monkeypatch, {125: (1.0, 0.035)}, self._falling(2.75))
+        fit = fit_window(2.73, self.P)
+        assert fit.fitted_w_bins == 40
+        assert fit.achieved_smax == pytest.approx(2.73048, abs=1e-5)
+        assert fit.iterations == 12
+
 
 class TestFitWindowTargets:
     @pytest.mark.slow
