@@ -27,17 +27,18 @@ class AnalysisReport:
 
     ``gamma_min_pairs`` is the smallest per-cell coincidence fraction;
     ``gamma_total_fraction`` is the summed coincidence count over the summed
-    per-cell opportunities.  ``s_by_sign`` maps each placement of the minus
-    sign (keyed by the cell carrying it, ``"00" | "01" | "10" | "11"``) to
-    its combination value; ``s_best`` is the largest in magnitude.  Those
-    summary fields are only set for a 2 x 2 settings table in which every
-    cell has an estimate; otherwise they are None.
+    per-cell opportunities; both are None when no cell has an event.
+    ``s_by_sign`` maps each placement of the minus sign (keyed by the cell
+    carrying it, ``"00" | "01" | "10" | "11"``) to its combination value;
+    ``s_best`` is the largest in magnitude.  Those summary fields are only
+    set for a 2 x 2 settings table in which every cell has an estimate;
+    otherwise they are None.
     """
 
     cells: dict[tuple[int, int], CorrelationEstimate]
     counts: dict[tuple[int, int], CoincidenceCounts]
-    gamma_min_pairs: float
-    gamma_total_fraction: float
+    gamma_min_pairs: float | None
+    gamma_total_fraction: float | None
     s_by_sign: dict[str, float] | None
     s_best: float | None
     bound_lg: float | None
@@ -59,10 +60,10 @@ def analyze_streams(stream_a: EventStream, stream_b: EventStream,
     cells = {key: estimate(c) for key, c in counts.items()}
 
     gammas = {key: est.gamma for key, est in cells.items()}
-    gamma_min = min(gammas.values()) if gammas else 0.0
+    gamma_min = min(gammas.values()) if gammas else None
     total_coinc = sum(c.n_coinc for c in counts.values())
     total_opp = sum(c.n_total for c in counts.values())
-    gamma_total = total_coinc / total_opp if total_opp else 0.0
+    gamma_total = total_coinc / total_opp if total_opp else None
 
     s_by_sign = s_best = bound = flags = None
     if n_settings_a == 2 and n_settings_b == 2:
@@ -77,7 +78,7 @@ def analyze_streams(stream_a: EventStream, stream_b: EventStream,
                 "11": s_value(e10, e11, e00, e01),
             }
             s_best = max(s_by_sign.values(), key=abs)
-            if gamma_min > 0.0:
+            if gamma_min:
                 bound = lg_bound(gamma_min)
                 flags = check_violations(s_best, gamma_min)
     return AnalysisReport(

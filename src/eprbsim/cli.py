@@ -1,8 +1,11 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure.  Every numeric
-option may also come from a flat ``key = value`` config file (``--config``);
-explicit flags override the config, the config overrides built-in defaults.
+Exit codes: 0 success, 1 usage error, 2 runtime failure.  A usage error is a
+bad command line or config file, or any input the library refuses with a
+ValueError; a runtime failure is an EprbError, OSError or ArithmeticError.
+Every numeric option may also come from a flat ``key = value`` config file
+(``--config``); explicit flags override the config, the config overrides
+built-in defaults.
 """
 
 from __future__ import annotations
@@ -17,14 +20,13 @@ from . import __version__
 from .analyze import REPORT_COLUMNS, analyze_external, report_rows
 from .coincidence import estimate_block, singles_means
 from .errors import EprbError, UsageError
-from .inequalities import THETA_STEP, _theta_grid, maximize_S
-from .model import Setting, SimParams, check_exponent, check_window, run_pairs
+from .inequalities import THETA_STEP, maximize_S
+from .model import Setting, SimParams, check_window, run_pairs
 from .oracles import gamma_limit, quantum_E, raw_sign_E
 from .scenarios import (
     DEFAULT_PARAMS,
     SCENARIO_IDS,
     SWEEP_COLUMNS,
-    _check_fit,
     fit_window,
     run_scenario,
     sweep_rows,
@@ -95,19 +97,10 @@ def _resolve(args, key):
     raise UsageError(f"missing required option --{key.replace('_', '-')}")
 
 
-def _checked(check, *args):
-    """``check(*args)``, its ValueError on a rejected option as a usage error."""
-    try:
-        return check(*args)
-    except ValueError as ex:
-        raise UsageError(str(ex)) from None
-
-
 def _params_from(args, windowed: bool = True) -> SimParams:
-    return _checked(SimParams,
-                    _resolve(args, "w_bins") if windowed else 1,
-                    _resolve(args, "t0_ratio"), _resolve(args, "d"),
-                    _resolve(args, "n"), _resolve(args, "seed"))
+    return SimParams(_resolve(args, "w_bins") if windowed else 1,
+                     _resolve(args, "t0_ratio"), _resolve(args, "d"),
+                     _resolve(args, "n"), _resolve(args, "seed"))
 
 
 def _parse_grid(spec: str):
@@ -160,9 +153,9 @@ def _table(columns, rows, out_dir=None, name=None) -> None:
 def _cmd_simulate(args) -> int:
     params = _params_from(args)
     theta = _resolve(args, "theta")
-    a, b = Setting.from_polar(0.0), _checked(Setting.from_polar, theta)
+    a, b = Setting.from_polar(0.0), Setting.from_polar(theta)
     block = run_pairs(a, b, params, keep_hidden=bool(args.debug_hidden))
-    streams = _checked(export_station_streams, block) if args.out else None
+    streams = export_station_streams(block) if args.out else None
     est = estimate_block(block, params.w_bins)
     m1, m2 = singles_means(block)
     _emit([
@@ -199,9 +192,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_smax(args) -> int:
     params = _params_from(args)
-    theta_step = _resolve(args, "theta_step")
-    _checked(_theta_grid, theta_step)
-    report = maximize_S(params, theta_step)
+    report = maximize_S(params, _resolve(args, "theta_step"))
     a, b, c, d = report.quad_angles
     _emit([
         ("s_max", report.s), ("stderr_s", report.stderr_s),
@@ -217,10 +208,8 @@ def _cmd_smax(args) -> int:
 
 def _cmd_fit(args) -> int:
     params = _params_from(args, windowed=False)
-    target = _resolve(args, "target")
-    tolerance = _resolve(args, "tolerance")
-    _checked(_check_fit, target, tolerance)
-    fit = fit_window(target, params, tolerance=tolerance)
+    fit = fit_window(_resolve(args, "target"), params,
+                     tolerance=_resolve(args, "tolerance"))
     _emit([
         ("target_smax", fit.target_smax), ("fitted_w_bins", fit.fitted_w_bins),
         ("achieved_smax", fit.achieved_smax), ("gamma_inf", fit.gamma_inf),
@@ -230,7 +219,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    d = _checked(check_exponent, _resolve(args, "d"))
+    d = _resolve(args, "d")
     grid = _parse_grid(_resolve(args, "theta_grid"))
     rows = [[t, gamma_limit(t, d), raw_sign_E(t), -math.cos(t)] for t in grid]
     _table(("theta", "gamma_limit_coeff", "raw_sign_e", "quantum_e"), rows,
@@ -239,7 +228,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    w_bins = _checked(check_window, _resolve(args, "w_bins"))
+    w_bins = check_window(_resolve(args, "w_bins"))
     settings_a = _parse_angles(args.settings_a)
     settings_b = _parse_angles(args.settings_b)
     if not settings_a or not settings_b:
@@ -337,10 +326,10 @@ def main(argv=None) -> int:
         else:
             args._config_values = {}
         return args.func(args)
-    except UsageError as ex:
+    except (UsageError, ValueError) as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 1
-    except (EprbError, OSError, ValueError, ArithmeticError) as ex:
+    except (EprbError, OSError, ArithmeticError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from scipy.interpolate import PchipInterpolator
 from .coincidence import CoincidenceCounts, estimate
 from .errors import FitError
 from .model import SimParams
-from .pipeline import ThetaEngine
+from .pipeline import _TABLE_LIMIT, ThetaEngine
 
 TRIVIAL_BOUND = 4.0
 CHSH_BOUND = 2.0
@@ -121,7 +121,12 @@ class GammaInfimum:
 def _theta_grid(theta_step: float) -> np.ndarray:
     if not (theta_step > 0 and math.isfinite(theta_step)):
         raise ValueError(f"theta_step must be positive and finite, got {theta_step!r}")
-    n = int(round(math.pi / theta_step))
+    span = math.pi / theta_step
+    # the engine's smallest count table, one block of two window classes, is 64 bytes an angle
+    if span + 1 > _TABLE_LIMIT // 64:
+        raise ValueError(f"theta_step={theta_step!r} gives {span + 1:.4g} angles; the "
+                         f"{_TABLE_LIMIT}-byte table limit allows {_TABLE_LIMIT // 64}")
+    n = int(round(span))
     if n < 4:
         raise ValueError("theta grid needs at least 5 points covering [0, pi]")
     return np.linspace(0.0, math.pi, n + 1)

@@ -127,13 +127,6 @@ class FitResult:
     trace: tuple[tuple[int, float], ...] = ()
 
 
-def _check_fit(target_smax: float, tolerance: float) -> None:
-    if not math.isfinite(target_smax):
-        raise ValueError(f"target_smax must be finite, got {target_smax!r}")
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-
-
 def fit_window(target_smax: float, params: SimParams, tolerance: float = 0.01,
                theta_step: float = THETA_STEP) -> FitResult:
     """Find the integer window reproducing a target combination value.
@@ -147,7 +140,10 @@ def fit_window(target_smax: float, params: SimParams, tolerance: float = 0.01,
     failing that, the bracket member closer to the target, provided it lies
     within ``hypot(tolerance, stderr_s)`` of it.
     """
-    _check_fit(target_smax, tolerance)
+    if not math.isfinite(target_smax):
+        raise ValueError(f"target_smax must be finite, got {target_smax!r}")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     w_max = params.max_tag
     reports: dict[int, SReport] = {}
 

@@ -86,6 +86,8 @@ class TestAnalyzeStreams:
         assert (1, 0) not in report.cells
         assert (report.s_by_sign, report.s_best, report.bound_lg, report.flags) == (
             None, None, None, None)
+        if not n:  # no cell, so no coincidence fraction is defined
+            assert (report.gamma_min_pairs, report.gamma_total_fraction) == (None, None)
 
     def test_setting_index_outside_table_rejected(self):
         sa = EventStream([0], [5], [1])
