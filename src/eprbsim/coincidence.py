@@ -214,9 +214,9 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
     """
     w_bins = check_window(w_bins)
     for name, s in (("stream_a", stream_a), ("stream_b", stream_b)):
-        dk = np.diff(s.k)
-        if len(dk) and int(dk.min()) < 0:
-            bad = int(np.argmax(dk < 0)) + 1
+        down = s.k[1:] < s.k[:-1]  # a 1-byte mask, not an int64 np.diff
+        if down.any():
+            bad = int(down.argmax()) + 1
             raise ValueError(f"{name} is not sorted by k (first violation at event {bad})")
 
     merged = np.concatenate([stream_a.k, stream_b.k])
@@ -227,8 +227,12 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
     seg_b = np.searchsorted(starts, stream_b.k, "right")
     both = (np.bincount(seg_a, minlength=len(starts) + 1)
             * np.bincount(seg_b, minlength=len(starts) + 1))
-    loop_a = np.flatnonzero(both[seg_a] > 1)
-    loop_b = np.flatnonzero(both[seg_b] > 1)
+    # each event's segment product, gathered once: 1 pairs it, more walks it
+    per_a, per_b = both[seg_a], both[seg_b]
+    del seg_a, seg_b
+    loop_a, one_a = np.flatnonzero(per_a > 1), np.flatnonzero(per_a == 1)
+    loop_b, one_b = np.flatnonzero(per_b > 1), np.flatnonzero(per_b == 1)
+    del per_a, per_b
     ka = stream_a.k[loop_a].tolist()
     kb = stream_b.k[loop_b].tolist()
     na, nb = len(ka), len(kb)
@@ -258,8 +262,8 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
         i += 1
         j += 1
 
-    pa = np.concatenate([np.flatnonzero(both[seg_a] == 1), loop_a[pairs_a]])
-    pb = np.concatenate([np.flatnonzero(both[seg_b] == 1), loop_b[pairs_b]])
+    pa = np.concatenate([one_a, loop_a[pairs_a]])
+    pb = np.concatenate([one_b, loop_b[pairs_b]])
     counts_a = np.bincount(stream_a.setting_index).tolist()
     counts_b = np.bincount(stream_b.setting_index).tolist()
     n_a, n_b = len(counts_a), len(counts_b)

@@ -27,7 +27,7 @@ from scipy.interpolate import PchipInterpolator
 from .coincidence import CoincidenceCounts, estimate
 from .errors import FitError
 from .model import SimParams
-from .pipeline import _TABLE_LIMIT, ThetaEngine
+from .pipeline import _TABLE_LIMIT, ThetaEngine, _check_table, _table_bytes
 
 TRIVIAL_BOUND = 4.0
 CHSH_BOUND = 2.0
@@ -122,10 +122,10 @@ def _theta_grid(theta_step: float) -> np.ndarray:
     if not (theta_step > 0 and math.isfinite(theta_step)):
         raise ValueError(f"theta_step must be positive and finite, got {theta_step!r}")
     span = math.pi / theta_step
-    # the engine's smallest count table, one block of two window classes, is 64 bytes an angle
-    if span + 1 > _TABLE_LIMIT // 64:
-        raise ValueError(f"theta_step={theta_step!r} gives {span + 1:.4g} angles; the "
-                         f"{_TABLE_LIMIT}-byte table limit allows {_TABLE_LIMIT // 64}")
+    # the smallest selection table: one block of two window classes, at max_tag = 1
+    if _table_bytes(span + 1, 2, 1, 1) > _TABLE_LIMIT:
+        raise ValueError(f"theta_step={theta_step!r} gives {span + 1:.4g} angles, whose "
+                         f"count tables pass the {_TABLE_LIMIT}-byte table limit")
     n = int(round(span))
     if n < 4:
         raise ValueError("theta grid needs at least 5 points covering [0, pi]")
@@ -227,8 +227,9 @@ def _selection_cells(params: SimParams, thetas: np.ndarray) -> np.ndarray:
     w, table = params.w_bins, _selection.get(key)
     if table is None or (len(table) < w and len(table) <= params.max_tag):
         _selection.clear()  # free the old table before tallying the new one
-        rows = min(params.max_tag, max(w, _MEMO_TOP)) + 1
-        counts = ThetaEngine(params).block_counts_over(thetas, range(1, rows + 1), n_blocks=1)
+        windows = range(1, min(params.max_tag, max(w, _MEMO_TOP)) + 2)
+        _check_table(len(thetas), windows, params, 1, w)  # before a list of the windows
+        counts = ThetaEngine(params).block_counts_over(thetas, windows, n_blocks=1)
         # a copy, so the tally's array is freed: kept, it left the legs' chunk buffers on
         # fresh pages each call (window-scan: 92,424 minor faults an operation, not 17,160)
         table = _selection[key] = counts[:, :, 0].copy()

@@ -20,9 +20,10 @@ differences would pass ``_TABLE_LIMIT`` bytes is refused before anything is
 made.
 
 The chunks of a pass are shared among worker threads, one for each CPU the
-process may run on.  A chunk's draws depend only on its trial indices, and
-the count tables are integers, so every result is byte-identical at any
-number of workers and in any order of chunks.
+process may run on, by ``_each_chunk``, which also serves ``ttag_io``'s
+file formatting and parsing.  A chunk's draws depend only on its trial
+indices, and the count tables are integers, so every result is
+byte-identical at any number of workers and in any order of chunks.
 """
 
 from __future__ import annotations
@@ -99,40 +100,46 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _each_chunk(n: int, make, work) -> None:
-    """Run ``work(starts, buffers)`` on as many threads as there are CPUs and chunks.
+def _each_chunk(chunks, work, make=lambda: None) -> None:
+    """Run ``work(mine, buffers)`` on as many threads as there are CPUs and chunks.
 
-    ``starts`` yields the first trial of each ``_CHUNK`` of ``n`` trials and
-    is shared, so every chunk goes to one worker.  Each worker's ``buffers``
+    ``mine`` yields the items of the sequence ``chunks`` in order and is
+    shared, so every chunk goes to one worker.  Each worker's ``buffers``
     come from ``make()``, called in this thread before any worker starts, so
     a worker's chunk loop reuses buffers made once a call.  This thread is
-    one of the workers, so one worker starts no thread, and every thread a
-    call starts has ended when it returns.
+    one of the workers, so one CPU or one chunk starts no thread, and every
+    thread a call starts has ended when it returns.  After an error in a
+    worker no worker starts a further chunk, and the error reaches the
+    caller.  The engine counts its chunks of trials here, and ``ttag_io``
+    formats and parses its chunks of rows and bytes.
     """
-    chunks = range(0, n, _CHUNK)
     workers = min(_cpus(), len(chunks))
     buffers = [make() for _ in range(workers)]
     lock, pending = threading.Lock(), iter(chunks)
 
-    def starts():
+    def mine():
         while True:
             with lock:
-                lo = next(pending, None)
-            if lo is None:
+                item = next(pending, None)
+            if item is None:
                 return
-            yield lo
+            yield item
 
-    if workers == 1:
-        work(starts(), buffers[0])
-        return
-    with ThreadPoolExecutor(workers - 1) as pool:
-        others = [pool.submit(work, starts(), b) for b in buffers[1:]]
+    def run(own):
         try:
-            work(starts(), buffers[0])
-        finally:  # on an error here, the others start no further chunk
+            work(mine(), own)
+        finally:  # on an error, the others start no further chunk
             with lock:
                 for _ in pending:
                     pass
+
+    if workers < 2:  # no chunk, or one worker: this thread
+        for b in buffers:
+            work(mine(), b)
+        return
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = [pool.submit(run, b) for b in buffers[1:]]
+        run(buffers[0])
         for f in others:
             f.result()
 
@@ -251,7 +258,7 @@ class ThetaEngine:
                         add_cells(hist[j:stop, blocks], dk, offsets, neg)
 
         if thetas:
-            _each_chunk(n, make, work)
+            _each_chunk(range(0, n, _CHUNK), work, make)
         table = hist.reshape(len(thetas), len(edges) - 1, classes, 4)
         return np.cumsum(table, axis=2, out=table)[:, :, :len(bounds)]
 
@@ -274,15 +281,7 @@ class ThetaEngine:
         clipped = [min(w, p.max_tag + 1) for w in windows]
         bounds = sorted(set(clipped))
         distinct = list(dict.fromkeys(thetas))
-        top, classes = _classes(bounds, p.max_tag)
-        size = 32 * classes * (len(edges) - 1) * len(distinct) + 8 * (top + 1)
-        if size > _TABLE_LIMIT:
-            raise ValueError(
-                f"the count tables of {len(distinct)} angles at {classes} window classes "
-                f"and the lookup table of {top + 1} tag differences come to {size} bytes, "
-                f"over the {_TABLE_LIMIT}-byte limit (w_bins={max(windows)}, "
-                f"t0_ratio={p.t0_ratio!r}, n_blocks={n_blocks}); ask for a narrower window, "
-                f"fewer angles or fewer blocks")
+        _check_table(len(distinct), bounds, p, n_blocks, max(windows))
 
         row = {b: i for i, b in enumerate(bounds)}
         angle = {t: i for i, t in enumerate(distinct)}
@@ -303,7 +302,26 @@ class ThetaEngine:
         return estimate(CoincidenceCounts.from_cells(blocks, self.params.n_trials), blocks)
 
 
-def _classes(bounds: list[int], max_tag: int) -> tuple[int, int]:
+def _table_bytes(angles, classes: int, top: int, n_blocks: int):
+    """Bytes a tally's tables take: 4 int64 counts a block, window class and
+    angle, and an int64 lookup entry for each tag difference up to ``top``."""
+    return 32 * classes * n_blocks * angles + 8 * (top + 1)
+
+
+def _check_table(angles: int, bounds, params: SimParams, n_blocks: int, w_bins: int) -> None:
+    """Refuse a tally at sorted window ``bounds`` whose tables would pass ``_TABLE_LIMIT``."""
+    top, classes = _classes(bounds, params.max_tag)
+    size = _table_bytes(angles, classes, top, n_blocks)
+    if size > _TABLE_LIMIT:
+        raise ValueError(
+            f"the count tables of {angles} angles at {classes} window classes "
+            f"and the lookup table of {top + 1} tag differences come to {size} bytes, "
+            f"over the {_TABLE_LIMIT}-byte limit (w_bins={w_bins}, "
+            f"t0_ratio={params.t0_ratio!r}, n_blocks={n_blocks}); ask for a narrower window, "
+            f"fewer angles or fewer blocks")
+
+
+def _classes(bounds, max_tag: int) -> tuple[int, int]:
     """``(top, classes)`` of sorted window bounds: the widest difference told apart, and
     one class a bound, plus one past the widest if some difference reaches it."""
     top = min(max_tag, bounds[-1])

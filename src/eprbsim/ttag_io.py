@@ -8,7 +8,11 @@ TTAG-CSV v1 holds one station's events, one file per station::
 with ``k`` a non-decreasing unsigned tag bin, ``setting_index`` a small
 non-negative integer into the station's settings table, and ``x`` in
 {-1, +1}.  ASCII, LF line endings.  Reads reject version mismatches,
-malformed lines (named by line number) and non-monotone tags.
+malformed lines (named by line number) and non-monotone tags.  A write
+formats its rows, and a read of a canonical body parses it, in chunks shared
+among the engine's worker threads (``pipeline._each_chunk``), one for each
+CPU the process may run on; the bytes written, the streams read and every
+error are the same at any number of workers.
 
 Results tables are plain CSV with one header row and reals printed with 17
 significant digits, enough to round-trip doubles.  Manifests are flat
@@ -28,6 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import pipeline
 from .errors import TtagFormatError, UsageError
 from .model import SimParams, TrialBlock
 
@@ -64,7 +69,7 @@ class EventStream:
                 and np.array_equal(self.x, other.x))
 
 
-_WRITE_ROWS = 1 << 16  # rows formatted at a time
+_WRITE_ROWS = 1 << 15  # rows a worker formats at a time
 _READ_BYTES = 1 << 16  # body bytes parsed at a time, ending at a newline
 _COMMA, _LF, _MINUS, _ZERO = b",\n-0"
 
@@ -73,13 +78,26 @@ def write_events(stream: EventStream, path) -> None:
     """Serialize a station stream as TTAG-CSV v1 (lossless).
 
     The bytes are those of ``"%d,%d,%d\\n"`` on every row, formatted in numpy
-    ``_WRITE_ROWS`` rows at a time by ``_format_rows``.
+    ``_WRITE_ROWS`` rows at a time by ``_format_rows``.  The chunks are
+    formatted in rounds of one a worker, on ``pipeline._each_chunk``, and
+    each round is written in file order before the next is formatted, so a
+    write holds at most one formatted chunk a worker.
     """
-    cols = (stream.k, stream.setting_index, stream.x)
+    cols, n = (stream.k, stream.setting_index, stream.x), len(stream)
+    texts = {}
+
+    def format_chunks(starts, _):
+        for lo in starts:
+            texts[lo] = _format_rows([c[lo:lo + _WRITE_ROWS] for c in cols])
+
     with open(path, "wb") as f:
         f.write(f"{_HEADER_PREFIX}{TTAG_VERSION}\n".encode("ascii"))
-        for start in range(0, len(stream), _WRITE_ROWS):
-            f.write(_format_rows([c[start:start + _WRITE_ROWS] for c in cols]))
+        per_round = _WRITE_ROWS * pipeline._cpus()
+        for first in range(0, n, per_round):
+            starts = range(first, min(first + per_round, n), _WRITE_ROWS)
+            pipeline._each_chunk(starts, format_chunks)
+            for lo in starts:
+                f.write(texts.pop(lo))
 
 
 @functools.cache
@@ -210,40 +228,58 @@ def _canonical_rows(data: bytes, body: int) -> np.ndarray | None:
     canonical body every line is three fields, each ``-?[0-9]+`` and at most
     18 bytes long, split by two commas and ended by LF.  The length bound
     matters: ``np.fromstring`` saturates an int64 overflow without an error.
-    Pieces of at most ``_READ_BYTES`` that end at a newline have their LFs
-    turned into commas and fill one preallocated array; the body is never
-    copied whole.  An empty body gives no rows.
+    The body is cut into pieces of at most ``_READ_BYTES`` that end at a
+    newline, and each piece's lines are counted, in this thread.  Then the
+    pieces are parsed on ``pipeline._each_chunk``'s workers, each into its
+    own rows of one preallocated array; the body is never copied whole.  An
+    empty body gives no rows.
     """
     text = np.frombuffer(data, np.uint8, offset=body)
-    lines = sum(np.count_nonzero(text[at:at + _READ_BYTES] == _LF)
-                for at in range(0, len(text), _READ_BYTES))
-    rows = np.empty((lines, 3), np.int64)
-    values, done, at = rows.reshape(-1), 0, 0
-    while at < len(text):
+    edges = [0]
+    while edges[-1] < len(text):
+        at = edges[-1]
         end = data.rfind(b"\n", body + at, body + at + _READ_BYTES) + 1 - body
         if end <= at:
             return None
-        piece = text[at:end]
-        is_sep = (piece == _COMMA) | (piece == _LF)
-        seps = np.flatnonzero(is_sep)
-        width = np.diff(seps, prepend=-1)  # a field's bytes plus one
-        minus = piece == _MINUS
-        not_digit = piece - _ZERO >= 10
-        if (piece[seps].tobytes() != b",,\n" * (len(seps) // 3)  # three fields a line
-                or width.min() < 2 or width.max() > 19  # of 1 to 18 bytes
-                or np.count_nonzero(not_digit) != np.count_nonzero(minus) + len(seps)
-                or (minus[:-1] & not_digit[1:]).any()  # a "-" precedes a digit
-                or (minus[1:] & ~is_sep[:-1]).any()):  # and opens its field
-            return None
-        piece = piece.copy()
-        piece[seps[2::3]] = _COMMA
-        try:
-            values[done:done + len(seps)] = np.fromstring(piece, np.int64, sep=",")
-        except ValueError:
-            return None
-        done += len(seps)
-        at = end
-    return rows
+        edges.append(end)
+    firsts = np.cumsum([0] + [np.count_nonzero(text[at:end] == _LF)
+                              for at, end in zip(edges, edges[1:])]).tolist()
+    rows = np.empty((firsts[-1], 3), np.int64)
+    values, bad = rows.reshape(-1), []
+
+    def parse_pieces(pieces, _):
+        for i in pieces:
+            if not (bad or _parse_piece(text[edges[i]:edges[i + 1]],
+                                        values[3 * firsts[i]:3 * firsts[i + 1]])):
+                bad.append(i)
+
+    pipeline._each_chunk(range(len(edges) - 1), parse_pieces)
+    return None if bad else rows
+
+
+def _parse_piece(piece: np.ndarray, out: np.ndarray) -> bool:
+    """Parse the canonical lines of ``piece``, which ends at a newline, into
+    ``out``, one value a field; False, with ``out`` unspecified, if a line is
+    not canonical.  ``out`` holds three values for each LF of the piece.
+    """
+    is_sep = (piece == _COMMA) | (piece == _LF)
+    seps = np.flatnonzero(is_sep)
+    width = np.diff(seps, prepend=-1)  # a field's bytes plus one
+    minus = piece == _MINUS
+    not_digit = piece - _ZERO >= 10
+    if (piece[seps].tobytes() != b",,\n" * (len(seps) // 3)  # three fields a line
+            or width.min() < 2 or width.max() > 19  # of 1 to 18 bytes
+            or np.count_nonzero(not_digit) != np.count_nonzero(minus) + len(seps)
+            or (minus[:-1] & not_digit[1:]).any()  # a "-" precedes a digit
+            or (minus[1:] & ~is_sep[:-1]).any()):  # and opens its field
+        return False
+    piece = piece.copy()
+    piece[seps[2::3]] = _COMMA
+    try:
+        out[:] = np.fromstring(piece, np.int64, sep=",")
+    except ValueError:
+        return False
+    return True
 
 
 def export_station_streams(block: TrialBlock, setting_index_1: int = 0,

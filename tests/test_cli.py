@@ -45,6 +45,8 @@ class TestExitCodes:
         (["smax", *BASE, "--theta-step", "1e-9"], "theta_step"),
         (["sweep", "--t0-ratio", "1e9", "--w-bins", "1000000000", "--n", "10",
           "--theta-grid", "0:1:3"], "w_bins=1000000000"),
+        (["smax", "--t0-ratio", "1e9", "--w-bins", "1000000000", "--n", "21",
+          "--theta-step", "0.8"], "268435456-byte limit (w_bins=1000000000"),
         (["simulate", "--t0-ratio", "1e19", "--n", "2000"], "t0_ratio"),
         (["fit", "--t0-ratio", "1e19", "--n", "2000", "--target", "2.5"], "t0_ratio"),
         (["oracle", "--d", "-1"], "d must be a finite real >= 0, got -1.0"),
@@ -55,7 +57,8 @@ class TestExitCodes:
         (["simulate", *BASE, "--theta", "nan"], "theta must be finite, got nan"),
         (["simulate", *BASE, "--theta", "inf"], "theta must be finite, got inf"),
     ], ids=["sweep-grid", "oracle-grid", "fit-tolerance", "smax-step-0", "smax-step-nan",
-            "smax-step-past-table-limit", "sweep-past-table-limit", "simulate-t0-ratio",
+            "smax-step-past-table-limit", "sweep-past-table-limit",
+            "smax-selection-past-table-limit", "simulate-t0-ratio",
             "fit-t0-ratio", "oracle-d-negative", "oracle-d-nan", "oracle-d-inf",
             "fit-target-nan", "fit-target-inf", "simulate-theta-nan", "simulate-theta-inf"])
     def test_out_of_range_option_is_usage_error(self, capsys, argv, named):

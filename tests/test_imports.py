@@ -11,7 +11,8 @@ No linter is installed, so this stays stdlib-only and parses with ``ast``:
   class (as ``cli._Parser.error`` does).
 
 No work at import either: importing the package starts no thread, and a
-tally ends every thread it starts.
+tally, a write or a read ends every thread it starts.  Threads come from one
+helper, ``pipeline._each_chunk``.
 """
 
 import ast
@@ -127,21 +128,82 @@ def test_import_starts_no_thread():
     assert out.stdout.strip() == "0"
 
 
-def test_a_tally_leaves_no_thread_running():
+def test_a_tally_leaves_no_thread_running(tmp_path):
     from unittest import mock
 
-    from eprbsim import SimParams, ThetaEngine, pipeline
+    from eprbsim import EventStream, SimParams, ThetaEngine, pipeline, ttag_io
 
     p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=5000, seed=3)
+    stream = EventStream(range(50), [0] * 50, [1] * 50)
     before = threading.active_count()
-    with mock.patch.multiple(pipeline, _CHUNK=100, _cpus=lambda: 2):
+    with mock.patch.multiple(pipeline, _CHUNK=100, _cpus=lambda: 2), \
+            mock.patch.multiple(ttag_io, _WRITE_ROWS=4, _READ_BYTES=64):
         ThetaEngine(p).block_counts_over([0.5, 1.0], [1, 16])
+        ttag_io.write_events(stream, tmp_path / "s.csv")
+        assert threading.active_count() == before
+        assert ttag_io.read_events(tmp_path / "s.csv") == stream
     assert threading.active_count() == before
     # no module of the package holds a pool or a thread between calls
     for path in LIBRARY:
         module = importlib.import_module(f"eprbsim.{path.stem}")
         assert not [name for name, value in vars(module).items()
                     if isinstance(value, (threading.Thread, Executor))]
+
+
+def test_one_cpu_or_one_chunk_starts_no_thread(tmp_path):
+    from unittest import mock
+
+    from eprbsim import EventStream, SimParams, ThetaEngine, pipeline, ttag_io
+
+    p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=5000, seed=3)
+    stream = EventStream(range(50), [0] * 50, [1] * 50)
+    path = tmp_path / "s.csv"
+    with mock.patch.object(pipeline, "ThreadPoolExecutor", side_effect=AssertionError):
+        with mock.patch.multiple(pipeline, _CHUNK=100, _cpus=lambda: 1):
+            ThetaEngine(p).block_counts_over([0.5], [1])
+            ttag_io.write_events(stream, path)
+            assert ttag_io.read_events(path) == stream
+        with mock.patch.object(pipeline, "_cpus", lambda: 2):  # one chunk, one piece
+            ttag_io.write_events(stream, path)
+            assert ttag_io.read_events(path) == stream
+
+
+def test_threads_come_from_one_helper():
+    # a second pool idiom would need its own error, drain and thread-count rules
+    uses = set()
+    for path in LIBRARY:
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, (ast.Import, ast.ImportFrom)):
+                uses |= {(path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                         if {getattr(node, "id", None), getattr(node, "attr", None)}
+                         & {"ThreadPoolExecutor", "Thread"}}
+    assert uses == {("pipeline", "_each_chunk")}
+
+
+def test_io_workers_call_no_traced_function(monkeypatch, tmp_path):
+    # the benchmark's tracer keeps one span stack, so only this thread may
+    # enter a function it wraps while a write or a read runs on two workers
+    from unittest import mock
+
+    from eprbsim import EventStream, pipeline, ttag_io
+
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    import run
+
+    importlib.import_module("eprbsim.cli")
+    threads = set()
+    for owner, attr, _, _ in run.trace_targets(eprbsim):
+        if hasattr(owner, attr):
+            def wrapped(*args, _real=getattr(owner, attr), **kwargs):
+                threads.add(threading.current_thread())
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, wrapped)
+    stream = EventStream(range(50), [0] * 50, [1] * 50)
+    with mock.patch.object(pipeline, "_cpus", lambda: 2), \
+            mock.patch.multiple(ttag_io, _WRITE_ROWS=4, _READ_BYTES=64):
+        ttag_io.write_events(stream, tmp_path / "s.csv")
+        assert ttag_io.read_events(tmp_path / "s.csv") == stream
+    assert threads <= {threading.main_thread()}
 
 
 def test_benchmark_finds_every_traced_function(monkeypatch):

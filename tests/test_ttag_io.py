@@ -1,7 +1,10 @@
 import math
 import re
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from eprbsim import (
     tally,
     write_events,
 )
+from eprbsim import pipeline, ttag_io
 from eprbsim.ttag_io import (
     RunManifest,
     _format_rows,
@@ -69,6 +73,25 @@ def ttag_bodies(draw):
     return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
 
 
+def assert_round_trip(stream, path):
+    write_events(stream, path)
+    assert path.read_bytes() == reference.ttag_file(stream)
+    assert read_events(path) == stream
+
+
+def assert_reads_as_line_reader(body, path):
+    """A read of ``body`` gives the rows, or the first error, of ``reference.ttag_rows``."""
+    path.write_text("# ttag-csv 1\n" + body)
+    try:
+        rows = reference.ttag_rows(path, body)
+    except TtagFormatError as ex:
+        with pytest.raises(TtagFormatError) as got:
+            read_events(path)
+        assert str(got.value) == str(ex)
+    else:
+        assert read_events(path) == EventStream(*np.reshape(rows, (-1, 3)).T)
+
+
 class TestEventStream:
     def test_record_access(self):
         s = EventStream([1, 5], [0, 1], [1, -1])
@@ -106,10 +129,7 @@ class TestTtagRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(stream=event_streams())
     def test_lossless(self, stream, tmp_path_factory):
-        path = tmp_path_factory.mktemp("ttag") / "s.csv"
-        write_events(stream, path)
-        assert path.read_bytes() == reference.ttag_file(stream)
-        assert read_events(path) == stream
+        assert_round_trip(stream, tmp_path_factory.mktemp("ttag") / "s.csv")
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.tuples(*[st.integers(-2**63, 2**63 - 1)] * 3), min_size=1))
@@ -207,16 +227,69 @@ class TestTtagErrors:
     @settings(max_examples=150, deadline=None)
     @given(body=ttag_bodies())
     def test_matches_line_by_line_reader(self, body, tmp_path_factory):
-        path = tmp_path_factory.mktemp("ttag") / "s.csv"
-        path.write_text("# ttag-csv 1\n" + body)
-        try:
-            rows = reference.ttag_rows(path, body)
-        except TtagFormatError as ex:
-            with pytest.raises(TtagFormatError) as got:
+        assert_reads_as_line_reader(body, tmp_path_factory.mktemp("ttag") / "s.csv")
+
+
+@contextmanager
+def workers(cpus, read_bytes=64):
+    """``cpus`` workers, chunks of 3 rows and pieces of ``read_bytes``; 64 bytes
+    hold the longest canonical line, 44 bytes with its LF."""
+    with mock.patch.object(pipeline, "_cpus", lambda: cpus), \
+            mock.patch.multiple(ttag_io, _WRITE_ROWS=3, _READ_BYTES=read_bytes):
+        yield
+
+
+class TestTtagWorkers:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(stream=event_streams())
+    def test_lossless_at_any_worker_count(self, cpus, stream, tmp_path_factory):
+        with workers(cpus):
+            assert_round_trip(stream, tmp_path_factory.mktemp("ttag") / "s.csv")
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(body=ttag_bodies())
+    def test_first_bad_line_at_any_worker_count(self, cpus, body, tmp_path_factory):
+        with workers(cpus, read_bytes=16):  # two or three short lines a piece
+            assert_reads_as_line_reader(body, tmp_path_factory.mktemp("ttag") / "s.csv")
+
+    @pytest.mark.parametrize("line, what", [
+        ("0,0,3", "field out of range"),  # a canonical piece, refused after the parse
+        ("7,0,1", "tags must be non-decreasing"),
+        ("x,0,1", "non-integer field"),  # a piece only the lenient route reads
+        ("1,0", "expected 'k,setting_index,x'"),
+    ])
+    def test_bad_line_in_a_later_piece(self, tmp_path, line, what):
+        lines = [f"{100 + i},{i % 3},{1 - 2 * (i % 2)}" for i in range(60)]
+        lines[47] = line
+        path = tmp_path / "s.csv"
+        path.write_text("# ttag-csv 1\n" + "\n".join(lines) + "\n")
+        for cpus in (1, 2, 3):
+            with workers(cpus), pytest.raises(TtagFormatError) as got:
                 read_events(path)
-            assert str(got.value) == str(ex)
-        else:
-            assert read_events(path) == EventStream(*np.reshape(rows, (-1, 3)).T)
+            assert str(got.value) == f"{path}:49: {what}"
+
+    @pytest.mark.parametrize("target", ["_format_rows", "_parse_piece"])
+    def test_worker_error_reaches_caller(self, tmp_path, target):
+        real, raised = getattr(ttag_io, target), threading.Event()
+
+        def failing(*args):
+            # this thread's first chunk waits until the other worker has raised
+            if threading.current_thread() is not threading.main_thread():
+                raised.set()
+                raise RuntimeError("in a worker")
+            assert raised.wait(10)
+            return real(*args)
+
+        stream = EventStream(np.arange(60), np.zeros(60, np.int64), np.ones(60, np.int64))
+        path = tmp_path / "s.csv"
+        write_events(stream, path)
+        before = threading.active_count()
+        with workers(2), mock.patch.object(ttag_io, target, failing), \
+                pytest.raises(RuntimeError, match="in a worker"):
+            write_events(stream, path) if target == "_format_rows" else read_events(path)
+        assert threading.active_count() == before
 
 
 class TestExport:
