@@ -2,10 +2,14 @@
 
 Events are paired by greedy nearest-tag matching, tallied per setting-pair
 cell, and summarized as correlations, coincidence fractions and bound
-checks.  Two coincidence-fraction summaries are reported side by side
-because they answer different questions: the minimum over setting pairs
-(the quantity entering the post-selection bound) and the total coincidence
-fraction summed over all pairs (what a pooled experiment-wide rate gives).
+checks.  An analysis of two files holds both streams, 17 bytes an event
+(int8 outcomes), the bytes of the file being read, and while it matches, a
+chunk's temporaries a worker thread, not an array of the whole streams (see
+``coincidence.match_streams``).  Two coincidence-fraction summaries are
+reported side by side because they answer different questions: the minimum
+over setting pairs (the quantity entering the post-selection bound) and the
+total coincidence fraction summed over all pairs (what a pooled
+experiment-wide rate gives).
 """
 
 from __future__ import annotations
@@ -117,10 +121,10 @@ def synthetic_singlet_streams(angles_a, angles_b, n_pairs: int,
     u = uniform_block(seed, 0, n_pairs, 4)
     ia = np.minimum((u[0] * len(angles_a)).astype(np.int64), len(angles_a) - 1)
     ib = np.minimum((u[1] * len(angles_b)).astype(np.int64), len(angles_b) - 1)
-    x1 = np.where(u[2] < 0.5, 1, -1).astype(np.int64)
+    x1 = np.where(u[2] < 0.5, np.int8(1), np.int8(-1))
     diff = np.asarray(angles_a)[ia] - np.asarray(angles_b)[ib]
     p_same = 0.5 * (1.0 - np.cos(diff))  # P(x1 * x2 = +1) for E = -cos
-    x2 = np.where(u[3] < p_same, x1, -x1).astype(np.int64)
+    x2 = np.where(u[3] < p_same, x1, -x1)
     k = np.arange(n_pairs, dtype=np.int64) * 4
     return EventStream(k, ia, x1), EventStream(k, ib, x2)
 

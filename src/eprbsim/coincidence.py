@@ -17,6 +17,8 @@ from .model import TrialBlock, check_window
 #: Default number of blocks for the delete-one jackknife.
 JACKKNIFE_BLOCKS = 100
 
+_MATCH_EVENTS = 1 << 14  # events of a stream between a match's candidate cuts
+
 
 @dataclass(frozen=True)
 class CoincidenceCounts:
@@ -200,31 +202,95 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
     with the nearest unmatched event of the other stream whenever the tag
     difference is inside the window; every event is used at most once.  When
     the immediate candidate's successor is strictly closer, the candidate is
-    skipped in its favour.  The walk never looks across a gap of ``w_bins``
-    or more in the merged tags; cut there, a segment of one event a side is a
-    pair, and only segments with more events on both sides are walked.
+    skipped in its favour.  The walk never pairs across a gap of ``w_bins``
+    or more in the merged tags, nor looks ahead across one, so the streams
+    are cut at such gaps into segments (see :func:`_segment_pairs`).
+
+    The streams are matched in chunks that end at segment boundaries:
+    candidate cut tags are taken from both streams every ``_MATCH_EVENTS``
+    events, and one is kept where the last merged tag below it lies
+    ``w_bins`` or more under it.  The chunks are shared among
+    ``pipeline._each_chunk``'s workers, one for each CPU; each worker adds
+    its chunks' pairs to its own cell table with :func:`add_cells`, the
+    setting pair as their group, and the integer tables are summed.  So the
+    counts are the same at any number of workers or chunks, and no per-event
+    int64 array spans the streams, unless they hold no such gap and make one
+    chunk.
+
     Entries are keyed by ``(setting_a, setting_b)``, one for every pair of
-    settings present, in sorted order; :func:`add_cells` tallies the pairs
-    with the setting pair as their group.  Each cell's ``n_total`` is the
-    maximum number of pairs that cell could have produced,
-    ``min(count_a, count_b)`` of events carrying those settings.
+    settings present, in sorted order.  Each cell's ``n_total`` is the
+    maximum number of pairs that cell could have produced, ``min(count_a,
+    count_b)`` of events carrying those settings.  Setting indices whose
+    count tables would pass ``pipeline._TABLE_LIMIT`` bytes are refused
+    before any table is made.
 
     ``stream_a`` and ``stream_b`` expose arrays ``k``, ``setting_index`` and
     ``x`` sorted by ``k`` (see :class:`eprbsim.ttag_io.EventStream`).
     """
+    from . import pipeline  # which imports this module
+
     w_bins = check_window(w_bins)
     for name, s in (("stream_a", stream_a), ("stream_b", stream_b)):
         down = s.k[1:] < s.k[:-1]  # a 1-byte mask, not an int64 np.diff
         if down.any():
             bad = int(down.argmax()) + 1
             raise ValueError(f"{name} is not sorted by k (first violation at event {bad})")
+    n_a, n_b = (int(s.setting_index.max(initial=-1)) + 1 for s in (stream_a, stream_b))
+    # one block and window class of 4 counts a setting pair, and an event
+    # count a setting of either stream
+    size = pipeline._table_bytes(n_a * n_b, 1, n_a + n_b - 1, 1)
+    if size > pipeline._TABLE_LIMIT:
+        raise ValueError(
+            f"setting indices up to {n_a - 1} (stream_a) and {n_b - 1} (stream_b) "
+            f"need {size} bytes of count tables, over the {pipeline._TABLE_LIMIT}-byte limit")
 
-    merged = np.concatenate([stream_a.k, stream_b.k])
+    ka, kb = stream_a.k, stream_b.k
+    tags = np.unique(np.concatenate([ka[_MATCH_EVENTS::_MATCH_EVENTS],
+                                     kb[_MATCH_EVENTS::_MATCH_EVENTS]]))
+    cuts = [(0, 0)]  # events of each stream before a chunk
+    for tag, i, j in zip(tags.tolist(), np.searchsorted(ka, tags).tolist(),
+                         np.searchsorted(kb, tags).tolist()):
+        below = [k[at - 1] for k, at in ((ka, i), (kb, j)) if at]
+        if below and tag - max(below) >= w_bins:
+            cuts.append((i, j))
+    cuts.append((len(ka), len(kb)))
+
+    width = 4 * n_a * n_b
+
+    def work(chunks, cells):
+        for (lo_a, lo_b), (hi_a, hi_b) in chunks:
+            pa, pb = _segment_pairs(ka[lo_a:hi_a], kb[lo_b:hi_b], w_bins)
+            pa += lo_a
+            pb += lo_b
+            add_cells(cells, stream_a.setting_index[pa] * n_b + stream_b.setting_index[pb],
+                      cell_offsets(stream_a.x[pa] < 0, [(0, 0, len(pa))], width),
+                      stream_b.x[pb] < 0)
+
+    tables = pipeline._each_chunk(list(zip(cuts, cuts[1:])), work,
+                                  lambda: np.zeros((1, width), dtype=np.int64))
+    cells = sum(tables[1:], tables[0]).reshape(n_a, n_b, 4)
+    counts_a = np.bincount(stream_a.setting_index).tolist()
+    counts_b = np.bincount(stream_b.setting_index).tolist()
+    return {
+        (a, b): CoincidenceCounts.from_cells(cells[a, b], min(count_a, count_b))
+        for a, count_a in enumerate(counts_a) if count_a
+        for b, count_b in enumerate(counts_b) if count_b
+    }
+
+
+def _segment_pairs(tags_a, tags_b, w_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into ``tags_a`` and ``tags_b`` of :func:`match_streams`' greedy pairs.
+
+    The merged tags are cut at every gap of ``w_bins`` or more into
+    segments.  A segment of one event a side is a pair, and only segments
+    with more events on both sides are walked, their events in one list.
+    """
+    merged = np.concatenate([tags_a, tags_b])
     merged.sort(kind="stable")  # in place, and freed before the per-event arrays
     starts = merged[1:][np.diff(merged) >= w_bins]  # first tags of later segments
     del merged
-    seg_a = np.searchsorted(starts, stream_a.k, "right")
-    seg_b = np.searchsorted(starts, stream_b.k, "right")
+    seg_a = np.searchsorted(starts, tags_a, "right")
+    seg_b = np.searchsorted(starts, tags_b, "right")
     both = (np.bincount(seg_a, minlength=len(starts) + 1)
             * np.bincount(seg_b, minlength=len(starts) + 1))
     # each event's segment product, gathered once: 1 pairs it, more walks it
@@ -233,8 +299,8 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
     loop_a, one_a = np.flatnonzero(per_a > 1), np.flatnonzero(per_a == 1)
     loop_b, one_b = np.flatnonzero(per_b > 1), np.flatnonzero(per_b == 1)
     del per_a, per_b
-    ka = stream_a.k[loop_a].tolist()
-    kb = stream_b.k[loop_b].tolist()
+    ka = tags_a[loop_a].tolist()
+    kb = tags_b[loop_b].tolist()
     na, nb = len(ka), len(kb)
     pairs_a: list[int] = []
     pairs_b: list[int] = []
@@ -261,19 +327,5 @@ def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], Coin
         pairs_b.append(j)
         i += 1
         j += 1
-
-    pa = np.concatenate([one_a, loop_a[pairs_a]])
-    pb = np.concatenate([one_b, loop_b[pairs_b]])
-    counts_a = np.bincount(stream_a.setting_index).tolist()
-    counts_b = np.bincount(stream_b.setting_index).tolist()
-    n_a, n_b = len(counts_a), len(counts_b)
-    cells = np.zeros((1, 4 * n_a * n_b), dtype=np.int64)
-    add_cells(cells, stream_a.setting_index[pa] * n_b + stream_b.setting_index[pb],
-              cell_offsets(stream_a.x[pa] < 0, [(0, 0, len(pa))], cells.shape[1]),
-              stream_b.x[pb] < 0)
-    cells = cells.reshape(n_a, n_b, 4)
-    return {
-        (a, b): CoincidenceCounts.from_cells(cells[a, b], min(count_a, count_b))
-        for a, count_a in enumerate(counts_a) if count_a
-        for b, count_b in enumerate(counts_b) if count_b
-    }
+    return (np.concatenate([one_a, loop_a[pairs_a]]),
+            np.concatenate([one_b, loop_b[pairs_b]]))

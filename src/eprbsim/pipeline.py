@@ -21,9 +21,10 @@ made.
 
 The chunks of a pass are shared among worker threads, one for each CPU the
 process may run on, by ``_each_chunk``, which also serves ``ttag_io``'s
-file formatting and parsing.  A chunk's draws depend only on its trial
-indices, and the count tables are integers, so every result is
-byte-identical at any number of workers and in any order of chunks.
+file formatting and parsing and ``coincidence``'s stream matching.  A
+chunk's draws depend only on its trial indices, and the count tables are
+integers, so every result is byte-identical at any number of workers and in
+any order of chunks.
 """
 
 from __future__ import annotations
@@ -100,18 +101,20 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _each_chunk(chunks, work, make=lambda: None) -> None:
+def _each_chunk(chunks, work, make=lambda: None) -> list:
     """Run ``work(mine, buffers)`` on as many threads as there are CPUs and chunks.
 
     ``mine`` yields the items of the sequence ``chunks`` in order and is
     shared, so every chunk goes to one worker.  Each worker's ``buffers``
     come from ``make()``, called in this thread before any worker starts, so
-    a worker's chunk loop reuses buffers made once a call.  This thread is
+    a worker's chunk loop reuses buffers made once a call; the list of them
+    is returned, so that workers may add into their own.  This thread is
     one of the workers, so one CPU or one chunk starts no thread, and every
     thread a call starts has ended when it returns.  After an error in a
     worker no worker starts a further chunk, and the error reaches the
-    caller.  The engine counts its chunks of trials here, and ``ttag_io``
-    formats and parses its chunks of rows and bytes.
+    caller.  The engine counts its chunks of trials here, ``ttag_io``
+    formats and parses its chunks of rows and bytes, and
+    ``coincidence.match_streams`` matches its chunks of events.
     """
     workers = min(_cpus(), len(chunks))
     buffers = [make() for _ in range(workers)]
@@ -136,12 +139,13 @@ def _each_chunk(chunks, work, make=lambda: None) -> None:
     if workers < 2:  # no chunk, or one worker: this thread
         for b in buffers:
             work(mine(), b)
-        return
+        return buffers
     with ThreadPoolExecutor(workers - 1) as pool:
         others = [pool.submit(run, b) for b in buffers[1:]]
         run(buffers[0])
         for f in others:
             f.result()
+    return buffers
 
 
 class ThetaEngine:

@@ -8,11 +8,13 @@ TTAG-CSV v1 holds one station's events, one file per station::
 with ``k`` a non-decreasing unsigned tag bin, ``setting_index`` a small
 non-negative integer into the station's settings table, and ``x`` in
 {-1, +1}.  ASCII, LF line endings.  Reads reject version mismatches,
-malformed lines (named by line number) and non-monotone tags.  A write
-formats its rows, and a read of a canonical body parses it, in chunks shared
-among the engine's worker threads (``pipeline._each_chunk``), one for each
-CPU the process may run on; the bytes written, the streams read and every
-error are the same at any number of workers.
+malformed lines (named by line number) and non-monotone tags.  A stream
+holds int64 tags and setting indices and int8 outcomes, 17 bytes an event,
+and a read of a canonical body parses it straight into those columns.  A
+write formats its rows, and a read of a canonical body parses it, in chunks
+shared among the engine's worker threads (``pipeline._each_chunk``), one
+for each CPU the process may run on; the bytes written, the streams read and
+every error are the same at any number of workers.
 
 Results tables are plain CSV with one header row and reals printed with 17
 significant digits, enough to round-trip doubles.  Manifests are flat
@@ -41,23 +43,32 @@ _HEADER_PREFIX = "# ttag-csv "
 
 
 class EventStream:
-    """Column view of one station's time-tag records, sorted by tag."""
+    """Column view of one station's time-tag records, sorted by tag.
+
+    ``k`` and ``setting_index`` are int64, since a file may hold any
+    non-negative int64 in them, and ``x`` is int8: 17 bytes an event.  An
+    int8 ``x`` is kept as given; any other is checked as int64, as every
+    column is, and then narrowed, so a value such as 255 is refused, not
+    wrapped to -1.
+    """
 
     def __init__(self, k, setting_index, x):
         self.k = np.asarray(k, dtype=np.int64)
         self.setting_index = np.asarray(setting_index, dtype=np.int64)
-        self.x = np.asarray(x, dtype=np.int64)
-        if not (len(self.k) == len(self.setting_index) == len(self.x)):
+        if not (isinstance(x, np.ndarray) and x.dtype == np.int8):
+            x = np.asarray(x, dtype=np.int64)
+        if not (len(self.k) == len(self.setting_index) == len(x)):
             raise ValueError("column lengths differ")
         # 1-byte masks, not int64 temporaries
         if (self.k < 0).any():
             raise ValueError("tags must be non-negative")
         if (self.setting_index < 0).any():
             raise ValueError("setting indices must be non-negative")
-        if ((self.x != 1) & (self.x != -1)).any():
+        if ((x != 1) & (x != -1)).any():
             raise ValueError("outcomes must be -1 or +1")
         if (self.k[1:] < self.k[:-1]).any():
             raise ValueError("tags must be non-decreasing")
+        self.x = x.astype(np.int8, copy=False)
 
     def __len__(self):
         return len(self.k)
@@ -115,7 +126,7 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _format_rows(cols) -> np.ndarray:
-    """The TTAG-CSV lines of equal-length int64 columns, as ASCII bytes.
+    """The TTAG-CSV lines of equal-length integer columns, as ASCII bytes.
 
     Each field has a sign byte, as many digit bytes as the column's largest
     magnitude has, and a separator, in one ``(rows, width)`` table; ``keep``
@@ -153,12 +164,15 @@ def read_events(path) -> EventStream:
     """Parse a TTAG-CSV v1 file, rejecting version or format violations.
 
     A canonical body, as ``write_events`` writes it, is parsed by
-    ``np.fromstring`` (see ``_canonical_rows``); any other goes through a
-    byte pre-scan and ``np.loadtxt``, which accept the lenient forms ``+1``
-    and spaces around a field.  An error names the first bad line.
+    ``np.fromstring`` straight into the stream's int64 ``k`` and
+    ``setting_index`` and int8 ``x`` columns (see ``_canonical_rows``), 17
+    bytes an event besides the file's bytes while it is read.  Any other
+    body, or one with an outcome other than -1 or +1, goes through a byte
+    pre-scan and ``np.loadtxt``, which accept the lenient forms ``+1`` and
+    spaces around a field and hold an ``(n, 3)`` int64 array.  An error
+    names the first bad line.
     """
-    rows, error = _read_rows(path)  # the file's bytes are freed by now
-    k, s, x = rows.T
+    (k, s, x), error = _read_rows(path)  # the file's bytes are freed by now
     out_of_range = (k < 0) | (s < 0) | ((x != 1) & (x != -1))
     bad = out_of_range.copy()
     bad[1:] |= k[1:] < k[:-1]
@@ -171,8 +185,9 @@ def read_events(path) -> EventStream:
     return EventStream(k, s, x)
 
 
-def _read_rows(path) -> tuple[np.ndarray, str | None]:
-    """The ``(n, 3)`` rows of a TTAG-CSV v1 file before its first bad line.
+def _read_rows(path) -> tuple[Sequence[np.ndarray], str | None]:
+    """The ``k``, ``setting_index`` and ``x`` columns of a TTAG-CSV v1 file's
+    rows before its first bad line.
 
     A bad header raises; a bad line comes back as an error naming it.  The
     lenient route parses the rows before the first blank line, carriage
@@ -190,9 +205,9 @@ def _read_rows(path) -> tuple[np.ndarray, str | None]:
     if version != TTAG_VERSION:
         raise TtagFormatError(
             f"{path}: unsupported ttag-csv version {version} (expected {TTAG_VERSION})")
-    rows = _canonical_rows(data, body)
-    if rows is not None:
-        return rows, None
+    columns = _canonical_rows(data, body)
+    if columns is not None:
+        return columns, None
     shape = "expected 'k,setting_index,x'"
     end = data.find(nl, body)
     if data.count(b",", body, end if end >= 0 else len(data)) != 2:
@@ -208,10 +223,10 @@ def _read_rows(path) -> tuple[np.ndarray, str | None]:
 
     def parse(n_rows):  # numpy warns on 0 rows and unzips a *.gz path
         if n_rows == 0:
-            return np.empty((0, 3), np.int64)
+            return np.empty((3, 0), np.int64)
         with open(path, encoding="latin-1") as f:
             return np.loadtxt(f, np.int64, delimiter=",", comments=None, skiprows=1,
-                              max_rows=n_rows, ndmin=2)
+                              max_rows=n_rows, ndmin=2).T
     try:
         return parse(n_rows), error
     except ValueError as ex:  # numpy counts from 0 in a conversion error, else from 1
@@ -221,18 +236,20 @@ def _read_rows(path) -> tuple[np.ndarray, str | None]:
         return parse(n_rows), error  # the rows before it
 
 
-def _canonical_rows(data: bytes, body: int) -> np.ndarray | None:
-    """Parse the body that starts at byte ``body`` with ``np.fromstring``.
+def _canonical_rows(data: bytes, body: int) -> tuple[np.ndarray, ...] | None:
+    """The int64 ``k`` and ``setting_index`` and int8 ``x`` columns of the
+    body that starts at byte ``body``, parsed with ``np.fromstring``.
 
-    Only a canonical body is parsed; for any other this returns None.  In a
-    canonical body every line is three fields, each ``-?[0-9]+`` and at most
-    18 bytes long, split by two commas and ended by LF.  The length bound
-    matters: ``np.fromstring`` saturates an int64 overflow without an error.
-    The body is cut into pieces of at most ``_READ_BYTES`` that end at a
-    newline, and each piece's lines are counted, in this thread.  Then the
-    pieces are parsed on ``pipeline._each_chunk``'s workers, each into its
-    own rows of one preallocated array; the body is never copied whole.  An
-    empty body gives no rows.
+    Only a canonical body whose outcomes are -1 or +1 is parsed; for any
+    other this returns None, and the lenient route names the first bad line.
+    In a canonical body every line is three fields, each ``-?[0-9]+`` and at
+    most 18 bytes long, split by two commas and ended by LF.  The length
+    bound matters: ``np.fromstring`` saturates an int64 overflow without an
+    error.  The body is cut into pieces of at most ``_READ_BYTES`` that end
+    at a newline, and each piece's lines are counted, in this thread.  Then
+    the pieces are parsed on ``pipeline._each_chunk``'s workers, each into
+    its own rows of the three preallocated columns; neither the body nor an
+    ``(n, 3)`` table of it is ever made whole.  An empty body gives no rows.
     """
     text = np.frombuffer(data, np.uint8, offset=body)
     edges = [0]
@@ -244,23 +261,25 @@ def _canonical_rows(data: bytes, body: int) -> np.ndarray | None:
         edges.append(end)
     firsts = np.cumsum([0] + [np.count_nonzero(text[at:end] == _LF)
                               for at, end in zip(edges, edges[1:])]).tolist()
-    rows = np.empty((firsts[-1], 3), np.int64)
-    values, bad = rows.reshape(-1), []
+    n, bad = firsts[-1], []
+    columns = np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.int8)
 
     def parse_pieces(pieces, _):
         for i in pieces:
+            rows = slice(firsts[i], firsts[i + 1])
             if not (bad or _parse_piece(text[edges[i]:edges[i + 1]],
-                                        values[3 * firsts[i]:3 * firsts[i + 1]])):
+                                        *(c[rows] for c in columns))):
                 bad.append(i)
 
     pipeline._each_chunk(range(len(edges) - 1), parse_pieces)
-    return None if bad else rows
+    return None if bad else columns
 
 
-def _parse_piece(piece: np.ndarray, out: np.ndarray) -> bool:
+def _parse_piece(piece: np.ndarray, k, s, x) -> bool:
     """Parse the canonical lines of ``piece``, which ends at a newline, into
-    ``out``, one value a field; False, with ``out`` unspecified, if a line is
-    not canonical.  ``out`` holds three values for each LF of the piece.
+    the columns ``k``, ``s`` and ``x``, one row a line; False, with the
+    columns unspecified, if a line is not canonical or its ``x`` is not -1
+    or +1.  Each column holds one value for each LF of the piece.
     """
     is_sep = (piece == _COMMA) | (piece == _LF)
     seps = np.flatnonzero(is_sep)
@@ -276,9 +295,13 @@ def _parse_piece(piece: np.ndarray, out: np.ndarray) -> bool:
     piece = piece.copy()
     piece[seps[2::3]] = _COMMA
     try:
-        out[:] = np.fromstring(piece, np.int64, sep=",")
+        values = np.fromstring(piece, np.int64, sep=",")
     except ValueError:
         return False
+    fields = values[0::3], values[1::3], values[2::3]
+    if len(values) != 3 * len(x) or ((fields[2] != 1) & (fields[2] != -1)).any():
+        return False
+    k[:], s[:], x[:] = fields
     return True
 
 
@@ -289,7 +312,8 @@ def export_station_streams(block: TrialBlock, setting_index_1: int = 0,
     Trial ``n`` occupies its own time slot of ``2 * (max_tag + 1)`` bins, so
     events from different trials can never fall inside one coincidence
     window the model admits and greedy stream matching recovers exactly the
-    per-trial pairing.  Raises ValueError if the layout's span overflows int64.
+    per-trial pairing.  The streams' outcomes are the block's int8 columns,
+    not copies.  Raises ValueError if the layout's span overflows int64.
     """
     params: SimParams = block.params
     n, slot = len(block), 2 * (params.max_tag + 1)
@@ -298,10 +322,7 @@ def export_station_streams(block: TrialBlock, setting_index_1: int = 0,
     base = np.arange(n, dtype=np.int64) * slot
     s1 = np.full(n, setting_index_1, dtype=np.int64)
     s2 = np.full(n, setting_index_2, dtype=np.int64)
-    return (
-        EventStream(base + block.k1, s1, block.x1.astype(np.int64)),
-        EventStream(base + block.k2, s2, block.x2.astype(np.int64)),
-    )
+    return EventStream(base + block.k1, s1, block.x1), EventStream(base + block.k2, s2, block.x2)
 
 
 def format_real(v: float) -> str:

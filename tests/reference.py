@@ -12,7 +12,8 @@ replays one trial at a time, as the model is stated:
   ulp);
 * a tally over ``(x1, k1, x2, k2)`` rows;
 * the delete-one-block jackknife, one block at a time in Python integers;
-* greedy stream matching, one event at a time;
+* greedy stream matching, one event at a time, and the library's earlier
+  matcher, which cuts the whole streams into segments in one pass;
 * a TTAG-CSV file, written by one ``%`` format over every field and read
   one line at a time with ``int()``;
 * the small-window limit coefficient, by nested adaptive quadrature over the
@@ -24,9 +25,9 @@ import math
 import numpy as np
 from scipy import integrate
 
-from eprbsim.coincidence import CoincidenceCounts
+from eprbsim.coincidence import CoincidenceCounts, add_cells, cell_offsets
 from eprbsim.errors import QuadratureError, TtagFormatError
-from eprbsim.model import _station_kernel
+from eprbsim.model import _station_kernel, check_window
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -121,6 +122,92 @@ def match_pairs(ka, kb, w_bins: int) -> list[tuple[int, int]]:
         i += 1
         j += 1
     return pairs
+
+
+def match_streams(stream_a, stream_b, w_bins: int) -> dict[tuple[int, int], CoincidenceCounts]:
+    """Pair two sorted station streams and tally per setting-pair cell.
+
+    Greedy single pass: walk both streams in time order and pair each event
+    with the nearest unmatched event of the other stream whenever the tag
+    difference is inside the window; every event is used at most once.  When
+    the immediate candidate's successor is strictly closer, the candidate is
+    skipped in its favour.  The walk never looks across a gap of ``w_bins``
+    or more in the merged tags; cut there, a segment of one event a side is a
+    pair, and only segments with more events on both sides are walked.
+    Entries are keyed by ``(setting_a, setting_b)``, one for every pair of
+    settings present, in sorted order; :func:`add_cells` tallies the pairs
+    with the setting pair as their group.  Each cell's ``n_total`` is the
+    maximum number of pairs that cell could have produced,
+    ``min(count_a, count_b)`` of events carrying those settings.
+
+    ``stream_a`` and ``stream_b`` expose arrays ``k``, ``setting_index`` and
+    ``x`` sorted by ``k`` (see :class:`eprbsim.ttag_io.EventStream`).
+    """
+    w_bins = check_window(w_bins)
+    for name, s in (("stream_a", stream_a), ("stream_b", stream_b)):
+        down = s.k[1:] < s.k[:-1]  # a 1-byte mask, not an int64 np.diff
+        if down.any():
+            bad = int(down.argmax()) + 1
+            raise ValueError(f"{name} is not sorted by k (first violation at event {bad})")
+
+    merged = np.concatenate([stream_a.k, stream_b.k])
+    merged.sort(kind="stable")  # in place, and freed before the per-event arrays
+    starts = merged[1:][np.diff(merged) >= w_bins]  # first tags of later segments
+    del merged
+    seg_a = np.searchsorted(starts, stream_a.k, "right")
+    seg_b = np.searchsorted(starts, stream_b.k, "right")
+    both = (np.bincount(seg_a, minlength=len(starts) + 1)
+            * np.bincount(seg_b, minlength=len(starts) + 1))
+    # each event's segment product, gathered once: 1 pairs it, more walks it
+    per_a, per_b = both[seg_a], both[seg_b]
+    del seg_a, seg_b
+    loop_a, one_a = np.flatnonzero(per_a > 1), np.flatnonzero(per_a == 1)
+    loop_b, one_b = np.flatnonzero(per_b > 1), np.flatnonzero(per_b == 1)
+    del per_a, per_b
+    ka = stream_a.k[loop_a].tolist()
+    kb = stream_b.k[loop_b].tolist()
+    na, nb = len(ka), len(kb)
+    pairs_a: list[int] = []
+    pairs_b: list[int] = []
+    i = j = 0
+    while i < na and j < nb:
+        delta = kb[j] - ka[i]
+        if delta <= -w_bins:
+            j += 1
+            continue
+        if delta >= w_bins:
+            i += 1
+            continue
+        # inside the window: prefer a strictly closer successor of the
+        # earlier event's partner before committing
+        if ka[i] <= kb[j]:
+            if i + 1 < na and abs(ka[i + 1] - kb[j]) < abs(delta):
+                i += 1
+                continue
+        else:
+            if j + 1 < nb and abs(kb[j + 1] - ka[i]) < abs(delta):
+                j += 1
+                continue
+        pairs_a.append(i)
+        pairs_b.append(j)
+        i += 1
+        j += 1
+
+    pa = np.concatenate([one_a, loop_a[pairs_a]])
+    pb = np.concatenate([one_b, loop_b[pairs_b]])
+    counts_a = np.bincount(stream_a.setting_index).tolist()
+    counts_b = np.bincount(stream_b.setting_index).tolist()
+    n_a, n_b = len(counts_a), len(counts_b)
+    cells = np.zeros((1, 4 * n_a * n_b), dtype=np.int64)
+    add_cells(cells, stream_a.setting_index[pa] * n_b + stream_b.setting_index[pb],
+              cell_offsets(stream_a.x[pa] < 0, [(0, 0, len(pa))], cells.shape[1]),
+              stream_b.x[pb] < 0)
+    cells = cells.reshape(n_a, n_b, 4)
+    return {
+        (a, b): CoincidenceCounts.from_cells(cells[a, b], min(count_a, count_b))
+        for a, count_a in enumerate(counts_a) if count_a
+        for b, count_b in enumerate(counts_b) if count_b
+    }
 
 
 def ttag_file(stream) -> bytes:

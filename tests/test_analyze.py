@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +21,29 @@ from eprbsim import (
     tally,
     write_events,
 )
+from eprbsim import coincidence, pipeline
 from eprbsim.analyze import report_rows
 from eprbsim.cli import main
 from eprbsim.ttag_io import EventStream, format_real
+
+
+W_CHSH = 285
+ANGLES_A, ANGLES_B = (0.0, math.pi / 2), (math.pi / 4, 3 * math.pi / 4)
+
+
+def chsh_layout(n):
+    """The four ``n``-trial cells of the CHSH settings at ``W_CHSH``, and both
+    stations' streams holding them one after another in time, as the
+    benchmark's ``ttag-chsh`` workload lays them out."""
+    blocks, cols_a, cols_b, offset = {}, [], [], 0
+    for i, a in enumerate(ANGLES_A):
+        for j, b in enumerate(ANGLES_B):
+            p = SimParams(W_CHSH, 1000.0, 3.0, n, seed=1 + 2 * i + j)
+            blk = blocks[(i, j)] = run_pairs(Setting.from_polar(a), Setting.from_polar(b), p)
+            for cols, s in zip((cols_a, cols_b), export_station_streams(blk, i, j)):
+                cols.append((s.k + offset, s.setting_index, s.x))
+            offset += n * 2 * (p.max_tag + 1)
+    return blocks, [EventStream(*map(np.concatenate, zip(*cols))) for cols in (cols_a, cols_b)]
 
 
 class TestSyntheticSinglet:
@@ -122,17 +144,8 @@ class TestPipelineEquivalence:
 
     def test_two_by_two_files_at_scale(self, tmp_path, capsys):
         # four 5 x 10^4-trial cells one after another, so tags reach 4 x 10^8
-        w, n = 285, 5 * 10**4
-        angles_a, angles_b = (0.0, math.pi / 2), (math.pi / 4, 3 * math.pi / 4)
-        cols_a, cols_b, offset = [], [], 0
-        for i, a in enumerate(angles_a):
-            for j, b in enumerate(angles_b):
-                p = SimParams(w, 1000.0, 3.0, n, seed=1 + 2 * i + j)
-                blk = run_pairs(Setting.from_polar(a), Setting.from_polar(b), p)
-                for cols, s in zip((cols_a, cols_b), export_station_streams(blk, i, j)):
-                    cols.append((s.k + offset, s.setting_index, s.x))
-                offset += n * 2 * (p.max_tag + 1)
-        streams = [EventStream(*map(np.concatenate, zip(*cols))) for cols in (cols_a, cols_b)]
+        w, angles_a, angles_b = W_CHSH, ANGLES_A, ANGLES_B
+        _, streams = chsh_layout(5 * 10**4)
         assert 3.9e8 < streams[0].k[-1] < 4.1e8
         files = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for stream, path in zip(streams, files):
@@ -149,3 +162,43 @@ class TestPipelineEquivalence:
                 for ia, ib, e, se, g, nc, nt in printed] == [
                     row[1:] for row in report_rows(report)]
         assert f"s_best = {format_real(report.s_best)}" in out
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_chsh_layout_matches_block_tallies(self, cpus):
+        # every trial has its own time slot, so matching recovers each cell's tally
+        blocks, streams = chsh_layout(3000)
+        chunks = mock.Mock(wraps=coincidence._segment_pairs)
+        with mock.patch.object(pipeline, "_cpus", lambda: cpus), \
+                mock.patch.multiple(coincidence, _MATCH_EVENTS=256, _segment_pairs=chunks):
+            counts = match_streams(*streams, W_CHSH)
+        assert chunks.call_count > 4  # cut at many gaps
+        assert sorted(counts) == sorted(blocks)
+        for key, blk in blocks.items():
+            c, t = counts[key], tally(blk, W_CHSH)
+            assert (c.n_pp, c.n_pm, c.n_mp, c.n_mm) == (t.n_pp, t.n_pm, t.n_mp, t.n_mm)
+
+
+#: Bytes an event of either file that an analysis may trace at its peak:
+#: 27.1 were measured at 2 workers, and the bound leaves 14 % above that.
+#: The two streams keep 17 bytes an event, and the second file's bytes, 14.2
+#: an event of it, are held while it is parsed.
+ANALYSIS_BYTES_PER_EVENT = 31
+
+
+def test_analysis_memory_per_event(tmp_path):
+    # tracemalloc sees numpy's buffers and the bytes read from each file
+    _, streams = chsh_layout(5 * 10**4)
+    files = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for stream, path in zip(streams, files):
+        write_events(stream, path)
+    events = sum(map(len, streams))
+    del streams
+    with mock.patch.object(pipeline, "_cpus", lambda: 2):
+        tracemalloc.start()
+        try:
+            report = analyze_external(*files, ANGLES_A, ANGLES_B, W_CHSH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert report.s_best is not None
+    assert peak / events < ANALYSIS_BYTES_PER_EVENT

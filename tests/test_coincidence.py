@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from eprbsim import (
     CoincidenceCounts,
+    TtagFormatError,
     Setting,
     SimParams,
     ThetaEngine,
@@ -20,6 +22,7 @@ from eprbsim import (
     tally,
     tally_blocks,
 )
+from eprbsim import coincidence, pipeline
 from eprbsim.coincidence import jackknife_stderr_e
 from eprbsim.ttag_io import EventStream
 
@@ -325,3 +328,38 @@ class TestMatchStreams:
         # opportunities: min of per-setting event counts
         assert counts[(0, 0)].n_total == 2
         assert counts[(1, 1)].n_coinc == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(tags=tag_lists(), data=st.data())
+    def test_counts_equal_whole_stream_matcher(self, cpus, tags, data):
+        # chunks cut every 1 to 4 events, on 1 to 3 workers, pair as one pass
+        # over the whole streams does; one setting an event names every pair
+        streams = []
+        for k in tags:
+            n = len(k)
+            settings_ = data.draw(st.one_of(st.just(range(n)), st.lists(
+                st.integers(0, 2), min_size=n, max_size=n)))
+            xs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+            streams.append(EventStream(k, settings_, xs))
+        widest = int(np.diff(sorted(tags[0] + tags[1])).max(initial=0))
+        w_bins = data.draw(st.integers(1, widest + 2))
+        with mock.patch.object(pipeline, "_cpus", lambda: cpus), \
+                mock.patch.object(coincidence, "_MATCH_EVENTS", data.draw(st.integers(1, 4))):
+            got = match_streams(*streams, w_bins)
+        assert got == reference.match_streams(*streams, w_bins)
+
+    @pytest.mark.parametrize("index", [10**9, 2**62])
+    def test_setting_index_past_table_limit_refused(self, index):
+        # the tables would take 8 bytes a setting index, and 32 a pair of them
+        a = EventStream([0, 10], [0, index], [1, -1])
+        b = EventStream([0, 10], [0, 1], [1, 1])
+        with mock.patch.object(np, "bincount", side_effect=AssertionError), \
+                pytest.raises(ValueError, match=(
+                    rf"setting indices up to {index} \(stream_a\) and 1 \(stream_b\) "
+                    rf"need \d+ bytes .* over the {pipeline._TABLE_LIMIT}-byte limit")):
+            match_streams(a, b, 5)
+        # the settings table of an analysis is checked first
+        with pytest.raises(TtagFormatError,
+                           match=f"station A: setting index {index} outside table of size 2"):
+            analyze_streams(a, b, 2, 2, 5)

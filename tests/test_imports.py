@@ -11,8 +11,8 @@ No linter is installed, so this stays stdlib-only and parses with ``ast``:
   class (as ``cli._Parser.error`` does).
 
 No work at import either: importing the package starts no thread, and a
-tally, a write or a read ends every thread it starts.  Threads come from one
-helper, ``pipeline._each_chunk``.
+tally, a write, a read or a match ends every thread it starts.  Threads come
+from one helper, ``pipeline._each_chunk``.
 """
 
 import ast
@@ -131,17 +131,21 @@ def test_import_starts_no_thread():
 def test_a_tally_leaves_no_thread_running(tmp_path):
     from unittest import mock
 
-    from eprbsim import EventStream, SimParams, ThetaEngine, pipeline, ttag_io
+    from eprbsim import (EventStream, SimParams, ThetaEngine, coincidence, match_streams,
+                         pipeline, ttag_io)
 
     p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=5000, seed=3)
     stream = EventStream(range(50), [0] * 50, [1] * 50)
     before = threading.active_count()
     with mock.patch.multiple(pipeline, _CHUNK=100, _cpus=lambda: 2), \
-            mock.patch.multiple(ttag_io, _WRITE_ROWS=4, _READ_BYTES=64):
+            mock.patch.multiple(ttag_io, _WRITE_ROWS=4, _READ_BYTES=64), \
+            mock.patch.object(coincidence, "_MATCH_EVENTS", 4):
         ThetaEngine(p).block_counts_over([0.5, 1.0], [1, 16])
         ttag_io.write_events(stream, tmp_path / "s.csv")
         assert threading.active_count() == before
         assert ttag_io.read_events(tmp_path / "s.csv") == stream
+        assert threading.active_count() == before
+        assert match_streams(stream, stream, 1)[(0, 0)].n_pp == 50
     assert threading.active_count() == before
     # no module of the package holds a pool or a thread between calls
     for path in LIBRARY:
@@ -153,7 +157,7 @@ def test_a_tally_leaves_no_thread_running(tmp_path):
 def test_one_cpu_or_one_chunk_starts_no_thread(tmp_path):
     from unittest import mock
 
-    from eprbsim import EventStream, SimParams, ThetaEngine, pipeline, ttag_io
+    from eprbsim import EventStream, SimParams, ThetaEngine, match_streams, pipeline, ttag_io
 
     p = SimParams(w_bins=1, t0_ratio=37.5, d=3.0, n_trials=5000, seed=3)
     stream = EventStream(range(50), [0] * 50, [1] * 50)
@@ -163,13 +167,19 @@ def test_one_cpu_or_one_chunk_starts_no_thread(tmp_path):
             ThetaEngine(p).block_counts_over([0.5], [1])
             ttag_io.write_events(stream, path)
             assert ttag_io.read_events(path) == stream
+            assert match_streams(stream, stream, 1)[(0, 0)].n_pp == 50
         with mock.patch.object(pipeline, "_cpus", lambda: 2):  # one chunk, one piece
             ttag_io.write_events(stream, path)
             assert ttag_io.read_events(path) == stream
+            assert match_streams(stream, stream, 1)[(0, 0)].n_pp == 50
 
 
 def test_threads_come_from_one_helper():
     # a second pool idiom would need its own error, drain and thread-count rules
+    from unittest import mock
+
+    from eprbsim import EventStream, coincidence, match_streams, pipeline
+
     uses = set()
     for path in LIBRARY:
         for top in ast.parse(path.read_text()).body:
@@ -178,14 +188,33 @@ def test_threads_come_from_one_helper():
                          if {getattr(node, "id", None), getattr(node, "attr", None)}
                          & {"ThreadPoolExecutor", "Thread"}}
     assert uses == {("pipeline", "_each_chunk")}
+    # a 2-worker match runs its chunks on that helper's threads
+    threads, real, other = set(), coincidence._segment_pairs, threading.Event()
+
+    def segment_pairs(*args):
+        # this thread's first chunk waits until the other worker has one
+        threads.add(threading.current_thread())
+        if threading.current_thread() is threading.main_thread():
+            assert other.wait(10)
+        else:
+            other.set()
+        return real(*args)
+
+    stream = EventStream(range(0, 500, 10), [0] * 50, [1] * 50)
+    helper = mock.Mock(wraps=pipeline._each_chunk)
+    with mock.patch.multiple(pipeline, _cpus=lambda: 2, _each_chunk=helper), \
+            mock.patch.multiple(coincidence, _MATCH_EVENTS=4, _segment_pairs=segment_pairs):
+        assert match_streams(stream, stream, 1)[(0, 0)].n_pp == 50
+    assert helper.call_count == 1 and len(threads) == 2
 
 
 def test_io_workers_call_no_traced_function(monkeypatch, tmp_path):
     # the benchmark's tracer keeps one span stack, so only this thread may
-    # enter a function it wraps while a write or a read runs on two workers
+    # enter a function it wraps while a write, a read or a match runs on two
+    # workers
     from unittest import mock
 
-    from eprbsim import EventStream, pipeline, ttag_io
+    from eprbsim import EventStream, analyze, coincidence, pipeline, ttag_io
 
     monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
     import run
@@ -200,9 +229,12 @@ def test_io_workers_call_no_traced_function(monkeypatch, tmp_path):
             monkeypatch.setattr(owner, attr, wrapped)
     stream = EventStream(range(50), [0] * 50, [1] * 50)
     with mock.patch.object(pipeline, "_cpus", lambda: 2), \
-            mock.patch.multiple(ttag_io, _WRITE_ROWS=4, _READ_BYTES=64):
+            mock.patch.multiple(ttag_io, _WRITE_ROWS=4, _READ_BYTES=64), \
+            mock.patch.object(coincidence, "_MATCH_EVENTS", 4):
         ttag_io.write_events(stream, tmp_path / "s.csv")
         assert ttag_io.read_events(tmp_path / "s.csv") == stream
+        # the analysis calls match_streams, which the trace wraps, from this thread
+        assert analyze.analyze_streams(stream, stream, 1, 1, 1).cells[(0, 0)].e == 1.0
     assert threads <= {threading.main_thread()}
 
 

@@ -120,6 +120,26 @@ class TestEventStream:
         with pytest.raises(ValueError, match=re.escape(message)):
             EventStream(*columns)
 
+    @pytest.mark.parametrize("x", [
+        [1, 255], np.array([1, 255], np.uint8), [1, -255], np.array([1, -255], np.int16),
+        [1, 2**32 + 1], np.array([1, 2**32 + 1], np.uint64),
+        [1, 2**63 - 1], np.array([1, 2**63 - 1], np.uint64),
+    ], ids=repr)
+    def test_outcomes_are_refused_not_wrapped(self, x):
+        # each of these narrows to an int8 of -1 or +1
+        with pytest.raises(ValueError, match=re.escape("outcomes must be -1 or +1")):
+            EventStream([0, 1], [0, 0], x)
+
+    def test_column_dtypes(self, tmp_path):
+        stream = EventStream([1, 5], [0, 1], [1, -1])
+        path = tmp_path / "s.csv"
+        for body in ("1,0,1\n5,1,-1\n", "1,0,+1\n5,1,-1\n"):  # canonical, then lenient
+            path.write_text("# ttag-csv 1\n" + body)
+            for s in (stream, read_events(path)):
+                assert (s.k.dtype, s.setting_index.dtype, s.x.dtype) == (
+                    np.int64, np.int64, np.int8)
+            assert read_events(path) == stream
+
     def test_empty_and_equal_tags_pass(self):
         assert len(EventStream([], [], [])) == 0
         assert len(EventStream([7, 7, 7], [2, 0, 1], [-1, 1, -1])) == 3
